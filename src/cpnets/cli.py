@@ -32,7 +32,10 @@ from .semantics import DEFAULT_MAX_STATES
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def _read_text(path: str) -> str:
@@ -209,11 +212,6 @@ def _cmd_pareto(args) -> dict:
 def _cmd_majority(args) -> dict:
     profile, values = _load_profile(args.profile)
     base = profile.agents[0]
-    bounds = {
-        "max_states": args.max_states,
-        "closure_bound": args.closure_bound,
-        "pair_bound": args.pair_bound,
-    }
     if args.query == "dominates":
         beta = _outcome_arg(args.beta, base, values, args.named)
         alpha = _outcome_arg(args.alpha, base, values, args.named)
@@ -224,14 +222,14 @@ def _cmd_majority(args) -> dict:
         }
     if args.query == "is-optimal":
         alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {"answer": voting.is_majority_optimal(profile, alpha, **bounds)}
+        return {"answer": voting.is_majority_optimal(profile, alpha, args.max_states)}
     if args.query == "is-optimum":
         alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {"answer": voting.is_majority_optimum(profile, alpha, **bounds)}
+        return {"answer": voting.is_majority_optimum(profile, alpha, args.max_states)}
     if args.query == "exists-optimal":
-        ok, witness = voting.exists_majority_optimal(profile, **bounds)
+        ok, witness = voting.exists_majority_optimal(profile, args.max_states)
     else:
-        ok, witness = voting.exists_majority_optimum(profile, **bounds)
+        ok, witness = voting.exists_majority_optimum(profile, args.max_states)
     return {
         "answer": ok,
         "witness": None if witness is None else outcome_str(witness, profile.n),
@@ -437,19 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 q.add_argument("outcome")
             _add_named(q)
             _add_max_states(q)
-            if group == "majority":
-                q.add_argument(
-                    "--closure-bound",
-                    type=int,
-                    default=voting.CLOSURE_BOUND,
-                    help="feature count up to which full closures are precomputed",
-                )
-                q.add_argument(
-                    "--pair-bound",
-                    type=int,
-                    default=voting.PAIR_BOUND,
-                    help="feature count past which optimality queries are refused",
-                )
             q.set_defaults(handler=handler)
 
     p = sub.add_parser("gadget", help="generate nets and profiles from formulas")

@@ -262,7 +262,15 @@ def net_to_json(net: CPNet) -> dict:
     return {"features": out}
 
 
+def _bit(value, what: str) -> int:
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{what} must be the int 0 or 1, got {value!r}")
+    return value
+
+
 def net_from_json(data: Mapping) -> CPNet:
+    """Strict parse: names are strings, parents lists of names, cond and
+    prefer values the int 0 or 1. Anything else raises ValueError."""
     if not isinstance(data, Mapping) or "features" not in data:
         raise ValueError("net JSON must be an object with a 'features' list")
     raw = data["features"]
@@ -271,17 +279,22 @@ def net_from_json(data: Mapping) -> CPNet:
     tables = []
     for entry in raw:
         try:
-            name = entry["name"]
-            parents = tuple(entry["parents"])
-            rows = {
-                tuple(int(v) for v in row["cond"]): int(row["prefer"])
-                for row in entry["cpt"]
-            }
+            name, parents, cpt = entry["name"], entry["parents"], entry["cpt"]
+            if not isinstance(name, str):
+                raise ValueError(f"feature name must be a string, got {name!r}")
+            if not isinstance(parents, list) or not all(
+                isinstance(p, str) for p in parents
+            ):
+                raise ValueError(f"feature {name!r}: 'parents' must be a list of names")
+            rows = {}
+            for row in cpt:
+                cond = tuple(_bit(v, "cond value") for v in row["cond"])
+                rows[cond] = _bit(row["prefer"], "prefer")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed feature entry: {entry!r}") from exc
-        if len(rows) != len(entry["cpt"]):
+        if len(rows) != len(cpt):
             raise ValueError(f"feature {name!r} repeats a cpt condition")
-        tables.append(CPTable(feature=name, parents=parents, rows=rows))
+        tables.append(CPTable(feature=name, parents=tuple(parents), rows=rows))
     return net_from_tables(tables)
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import StateBudgetExceeded
-from .model import CPNet, topological_order, value_at
+from .model import CPNet, MCPNet, topological_order, value_at
 
 DEFAULT_MAX_STATES = 1 << 24
 
@@ -71,7 +71,20 @@ def flip_rules(net: CPNet) -> list[tuple[int, int, frozenset[int]]]:
     return rules
 
 
-def _check_outcome(net: CPNet, outcome: int) -> None:
+def worsening_rules(net: CPNet) -> list[tuple[int, int, frozenset[int]]]:
+    """The mirror of flip_rules: each trigger is an improving one with the
+    feature at its preferred value, so it marks a worsening flip. Cached."""
+    cached = getattr(net, "_worsening_rules", None)
+    if cached is None:
+        cached = net._worsening_rules = [
+            (relevant, own, frozenset(t ^ own for t in triggers))
+            for relevant, own, triggers in flip_rules(net)
+        ]
+    return cached
+
+
+def check_outcome(net: CPNet | MCPNet, outcome: int) -> None:
+    """Raise ValueError unless the outcome names one of the 2**n outcomes."""
     if not 0 <= outcome < (1 << net.n):
         raise ValueError(
             f"outcome {outcome} out of range for {net.n} features"
@@ -84,7 +97,7 @@ def improving_flips(net: CPNet, outcome: int) -> list[tuple[str, int]]:
     Returns (feature name, flipped outcome) pairs; these are exactly the
     outcome's out-neighbors in the preference graph.
     """
-    _check_outcome(net, outcome)
+    check_outcome(net, outcome)
     flips = []
     for j, (relevant, own, triggers) in enumerate(flip_rules(net)):
         if outcome & relevant in triggers:
@@ -94,7 +107,7 @@ def improving_flips(net: CPNet, outcome: int) -> list[tuple[str, int]]:
 
 def is_optimal(net: CPNet, outcome: int) -> bool:
     """True when no improving flip exists at the outcome."""
-    _check_outcome(net, outcome)
+    check_outcome(net, outcome)
     return all(
         outcome & relevant not in triggers
         for relevant, _, triggers in flip_rules(net)
@@ -125,8 +138,20 @@ def reach_set(
     Raises StateBudgetExceeded once more than max_states outcomes have been
     visited.
     """
-    _check_outcome(net, alpha)
-    rules = flip_rules(net)
+    check_outcome(net, alpha)
+    return _search(flip_rules(net), alpha, max_states)
+
+
+def reverse_reach_set(
+    net: CPNet, alpha: int, max_states: int = DEFAULT_MAX_STATES
+) -> set[int]:
+    """Every outcome reachable from alpha by worsening flips, alpha
+    included: the outcomes alpha dominates. Same budget as reach_set."""
+    check_outcome(net, alpha)
+    return _search(worsening_rules(net), alpha, max_states)
+
+
+def _search(rules, alpha: int, max_states: int) -> set[int]:
     seen = {alpha}
     queue = deque((alpha,))
     while queue:
@@ -154,8 +179,8 @@ def dominates(
     shortest flip sequence, with frontier ties broken by canonical feature
     index. dominates(net, x, x) is False: the order is strict.
     """
-    _check_outcome(net, alpha)
-    _check_outcome(net, beta)
+    check_outcome(net, alpha)
+    check_outcome(net, beta)
     if alpha == beta:
         return DominanceAnswer(False, None, 1)
     rules = flip_rules(net)

@@ -4,29 +4,31 @@ Two aggregation rules: Pareto (every agent strictly prefers) and majority
 (strictly more than half do). For each rule an outcome is optimal when
 nothing beats it and an optimum when it beats everything else.
 
-The majority optimality procedures enumerate candidate outcomes, so they
-are hard-gated by feature count: below the closure bound each agent's
-full dominance relation is precomputed from one reachability search per
-outcome, between the bounds every needed pair is answered by its own
-search, and past the pair bound the query is refused.
+Majority optimality of one outcome is read off one reachability search
+per agent, forward for optimal and backward for optimum, after a flip-vote
+pre-test that rejects most outcomes without any search. Only the exists_*
+queries enumerate all 2**n outcomes, so only they are gated by feature
+count (Rossi, Venable & Walsh, AAAI 2004, for the semantics).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, StateBudgetExceeded
-from .model import MCPNet
+from .model import CPNet, MCPNet
 from .semantics import (
     DEFAULT_MAX_STATES,
+    check_outcome,
     dominates,
     flip_rules,
     forward_sweep_optimum,
     reach_set,
+    reverse_reach_set,
 )
 
-CLOSURE_BOUND = 14
-PAIR_BOUND = 24
+ENUMERATION_BOUND = 24
 
 
 @dataclass
@@ -124,8 +126,7 @@ def is_pareto_optimal(
     max_states.
     """
     agents = profile.agents
-    if not 0 <= alpha < (1 << profile.n):
-        raise ValueError(f"outcome {alpha} out of range for {profile.n} features")
+    check_outcome(profile, alpha)
     rules = [flip_rules(net) for net in agents]
     seen: list[set[int]] = [{alpha} for _ in agents]
     frontier: list[list[int]] = [[alpha] for _ in agents]
@@ -205,138 +206,115 @@ def _threshold_mask(values: list[int], t: int, full: int) -> int:
     return gt
 
 
-def _closure_rows(profile: MCPNet, max_states: int) -> list[list[int]]:
-    """rows[i][alpha] = bitmask of the outcomes dominating alpha in agent
-    i's net, from one reachability search per outcome."""
-    size = 1 << profile.n
-    rows = []
+def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
+    """The most agents agreeing on one improving flip at alpha, and the
+    agents with any improving flip there.
+
+    An acyclic net orders outcomes one flip apart by that feature's table
+    row (Boutilier et al., JAIR 2004), so each agent prefers either the
+    neighbour or alpha. A count above m // 2 means the neighbour
+    majority-beats alpha; above (m - 1) // 2, alpha cannot beat it."""
+    votes = [0] * profile.n
+    movers = []
     for net in profile.agents:
-        mine = []
-        for alpha in range(size):
-            mask = 0
-            for s in reach_set(net, alpha, max_states):
-                mask |= 1 << s
-            mine.append(mask & ~(1 << alpha))
-        rows.append(mine)
-    return rows
+        moves = False
+        for j, (relevant, _, triggers) in enumerate(flip_rules(net)):
+            if alpha & relevant in triggers:
+                votes[j] += 1
+                moves = True
+        if moves:
+            movers.append(net)
+    return max(votes), movers
 
 
-def _dominator_mask(rows: list[list[int]], alpha: int, threshold: int, full: int) -> int:
-    return _threshold_mask([r[alpha] for r in rows], threshold, full)
-
-
-def _gate(profile: MCPNet, pair_bound: int) -> None:
-    if profile.n > pair_bound:
-        raise InstanceTooLarge(
-            f"majority optimality enumerates 2**{profile.n} outcomes; "
-            f"refusing beyond 2**{pair_bound}"
-        )
+def _bitmask(outcomes: set[int], n: int) -> int:
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for o in outcomes:
+        buf[o >> 3] |= 1 << (o & 7)
+    return int.from_bytes(buf, "little")
 
 
 def is_majority_optimal(
     profile: MCPNet,
     alpha: int,
     max_states: int = DEFAULT_MAX_STATES,
-    closure_bound: int = CLOSURE_BOUND,
-    pair_bound: int = PAIR_BOUND,
 ) -> bool:
-    """No outcome majority-dominates alpha, checked against all 2**n
-    candidates."""
-    _gate(profile, pair_bound)
-    n = profile.n
-    if not 0 <= alpha < (1 << n):
-        raise ValueError(f"outcome {alpha} out of range for {n} features")
-    if n <= closure_bound:
-        rows = _closure_rows(profile, max_states)
-        full = (1 << (1 << n)) - 1
-        return _dominator_mask(rows, alpha, profile.m // 2, full) == 0
-    return not any(
-        majority_dominates(profile, beta, alpha, max_states)
-        for beta in range(1 << n)
-        if beta != alpha
-    )
+    """No outcome majority-dominates alpha.
 
-
-def exists_majority_optimal(
-    profile: MCPNet,
-    max_states: int = DEFAULT_MAX_STATES,
-    closure_bound: int = CLOSURE_BOUND,
-    pair_bound: int = PAIR_BOUND,
-) -> tuple[bool, int | None]:
-    """First majority-optimal outcome in canonical order, if any."""
-    _gate(profile, pair_bound)
-    n = profile.n
-    if n <= closure_bound:
-        rows = _closure_rows(profile, max_states)
-        full = (1 << (1 << n)) - 1
-        t = profile.m // 2
-        for alpha in range(1 << n):
-            if _dominator_mask(rows, alpha, t, full) == 0:
-                return True, alpha
-        return False, None
-    for alpha in range(1 << n):
-        if is_majority_optimal(
-            profile, alpha, max_states, closure_bound, pair_bound
-        ):
-            return True, alpha
-    return False, None
+    An agent prefers exactly the outcomes in its forward reach set from
+    alpha, which is {alpha} unless it has an improving flip there. One
+    search per such agent and a vote count decide; one set is alive at a
+    time, so memory grows with the outcomes reached, never with 2**n.
+    """
+    check_outcome(profile, alpha)
+    t = profile.m // 2
+    top, movers = _flip_votes(profile, alpha)
+    if top > t:
+        return False
+    if len(movers) <= t:
+        return True
+    votes: Counter[int] = Counter()
+    for net in movers:
+        votes.update(reach_set(net, alpha, max_states))
+    del votes[alpha]
+    return all(v <= t for v in votes.values())
 
 
 def is_majority_optimum(
     profile: MCPNet,
     alpha: int,
     max_states: int = DEFAULT_MAX_STATES,
-    closure_bound: int = CLOSURE_BOUND,
-    pair_bound: int = PAIR_BOUND,
 ) -> bool:
-    """alpha majority-dominates every other outcome."""
-    _gate(profile, pair_bound)
-    n = profile.n
-    if not 0 <= alpha < (1 << n):
-        raise ValueError(f"outcome {alpha} out of range for {n} features")
-    if n <= closure_bound:
-        rows = _closure_rows(profile, max_states)
-        full = (1 << (1 << n)) - 1
-        t = profile.m // 2
-        own = 1 << alpha
-        return all(
-            _dominator_mask(rows, beta, t, full) & own
-            for beta in range(1 << n)
-            if beta != alpha
+    """alpha majority-dominates every other outcome.
+
+    An agent prefers alpha to exactly the outcomes in its backward search
+    over worsening flips. Each of the 2**n - 1 others needs m // 2 + 1
+    such votes, so the set sizes, held until then, rule out most
+    candidates before any 2**n-bit mask is built.
+    """
+    check_outcome(profile, alpha)
+    m, t = profile.m, profile.m // 2
+    if _flip_votes(profile, alpha)[0] > (m - 1) // 2:
+        return False
+    others = (1 << profile.n) - 1
+    missing = 0
+    beaten = []
+    for net in profile.agents:
+        below = reverse_reach_set(net, alpha, max_states)
+        missing += others - (len(below) - 1)
+        if missing > (m - t - 1) * others:
+            return False
+        beaten.append(below)
+    masks = [_bitmask(below, profile.n) for below in beaten]
+    full = (1 << (others + 1)) - 1
+    return _threshold_mask(masks, t, full) == full
+
+
+def _first_outcome(profile: MCPNet, test, max_states: int) -> tuple[bool, int | None]:
+    if profile.n > ENUMERATION_BOUND:
+        raise InstanceTooLarge(
+            f"majority optimality enumerates 2**{profile.n} outcomes; "
+            f"refusing beyond 2**{ENUMERATION_BOUND}"
         )
-    return all(
-        majority_dominates(profile, alpha, beta, max_states)
-        for beta in range(1 << n)
-        if beta != alpha
-    )
+    for alpha in range(1 << profile.n):
+        if test(profile, alpha, max_states):
+            return True, alpha
+    return False, None
+
+
+def exists_majority_optimal(
+    profile: MCPNet,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> tuple[bool, int | None]:
+    """First majority-optimal outcome in canonical order, if any."""
+    return _first_outcome(profile, is_majority_optimal, max_states)
 
 
 def exists_majority_optimum(
     profile: MCPNet,
     max_states: int = DEFAULT_MAX_STATES,
-    closure_bound: int = CLOSURE_BOUND,
-    pair_bound: int = PAIR_BOUND,
 ) -> tuple[bool, int | None]:
     """The majority optimum, if one exists. At most one outcome can
     qualify: two would have to majority-dominate each other, and the
     preferring coalitions are disjoint."""
-    _gate(profile, pair_bound)
-    n = profile.n
-    if n <= closure_bound:
-        rows = _closure_rows(profile, max_states)
-        size = 1 << n
-        full = (1 << size) - 1
-        t = profile.m // 2
-        acc = full
-        for beta in range(size):
-            acc &= _dominator_mask(rows, beta, t, full) | (1 << beta)
-            if not acc:
-                return False, None
-        winner = acc & -acc
-        return True, winner.bit_length() - 1
-    for alpha in range(1 << n):
-        if is_majority_optimum(
-            profile, alpha, max_states, closure_bound, pair_bound
-        ):
-            return True, alpha
-    return False, None
+    return _first_outcome(profile, is_majority_optimum, max_states)

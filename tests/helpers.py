@@ -2,24 +2,29 @@
 
 from itertools import combinations
 
-from cpnets import CPTable, CnfFormula, MCPNet, net_from_tables
+from cpnets import CPTable, CnfFormula, MCPNet, build_graph, closure, net_from_tables
 
 
-def random_net(rng, n, names=None):
+def random_net(rng, n, names=None, shuffle=False):
     """Build a random acyclic net over ``n`` binary features.
 
-    Parents of feature i are drawn from features 0..i-1, so the insertion
-    order is already a topological order. Indegree stays at most 3.
+    Parents of each feature are drawn from the features before it, so the
+    insertion order is already a topological order. With ``shuffle`` they
+    are drawn along a random order instead, so nets of one profile need not
+    share a topological order. Indegree stays at most 3.
     """
     if names is None:
         names = [f"X{i}" for i in range(1, n + 1)]
-    tables = []
-    for i, name in enumerate(names):
+    order = list(names)
+    if shuffle:
+        rng.shuffle(order)
+    tables = {}
+    for i, name in enumerate(order):
         k = rng.randint(0, min(3, i))
-        parents = tuple(rng.sample(names[:i], k))
+        parents = tuple(rng.sample(order[:i], k))
         rows = {cond: rng.randint(0, 1) for cond in _conds(k)}
-        tables.append(CPTable(feature=name, parents=parents, rows=rows))
-    return net_from_tables(tables)
+        tables[name] = CPTable(feature=name, parents=parents, rows=rows)
+    return net_from_tables([tables[name] for name in names])
 
 
 def _conds(k):
@@ -28,10 +33,28 @@ def _conds(k):
     return [tuple((c >> (k - 1 - j)) & 1 for j in range(k)) for c in range(1 << k)]
 
 
-def random_profile(rng, n, m, names=None):
+def random_profile(rng, n, m, names=None, shuffle=False):
     if names is None:
         names = [f"X{i}" for i in range(1, n + 1)]
-    return MCPNet(agents=tuple(random_net(rng, n, names) for _ in range(m)))
+    return MCPNet(
+        agents=tuple(random_net(rng, n, names, shuffle) for _ in range(m))
+    )
+
+
+def majority_dominators(profile):
+    """rows[alpha] is the bitmask of outcomes that strictly more than half
+    the agents prefer to alpha, counted vote by vote over oracle closures."""
+    closures = [closure(build_graph(net)) for net in profile.agents]
+    size = 1 << profile.n
+    rows = []
+    for alpha in range(size):
+        mask = 0
+        for beta in range(size):
+            votes = sum(c.dominates(beta, alpha) for c in closures)
+            if votes > profile.m // 2:
+                mask |= 1 << beta
+        rows.append(mask)
+    return rows
 
 
 def clause_pool(num_vars):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cpnets import (
     CnfFormula,
@@ -15,6 +21,7 @@ from cpnets import (
     profile_to_json,
 )
 from cpnets.cli import main
+from helpers import random_profile
 
 
 def run(capsys, *argv):
@@ -76,6 +83,29 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         code, payload = run_json(capsys, "validate", str(path))
+        assert code == 2
+        assert "error" in payload
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "A", "parents": [], "cpt": [{"cond": [], "prefer": 0.5}]},
+            {"name": ["A"], "parents": [], "cpt": [{"cond": [], "prefer": 0}]},
+            {"name": "B", "parents": "A", "cpt": [{"cond": [0], "prefer": 0}]},
+        ],
+        ids=["float-prefer", "list-name", "string-parents"],
+    )
+    def test_malformed_entry_is_exit_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"features": [entry]}))
+        code, payload = run_json(capsys, "optimum", str(path))
+        assert code == 2
+        assert "error" in payload
+
+    def test_deeply_nested_json_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, payload = run_json(capsys, "optimum", str(path))
         assert code == 2
         assert "error" in payload
 
@@ -231,16 +261,11 @@ class TestVotingCommands:
         )
         assert (code, payload["answer"]) == (0, True)
 
-    def test_majority_pair_bound_gate(self, capsys, profile_path):
-        code, payload = run_json(
-            capsys,
-            "majority",
-            "is-optimal",
-            profile_path,
-            "00",
-            "--pair-bound",
-            "1",
-        )
+    def test_majority_exists_gate(self, capsys, tmp_path):
+        wide = random_profile(random.Random(97), 25, 2)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(profile_to_json(wide)))
+        code, payload = run_json(capsys, "majority", "exists-optimal", str(path))
         assert code == 3
         assert "error" in payload
 
@@ -399,3 +424,49 @@ def test_module_entry_point(dinner_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"answer": "00"}
+
+
+_json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_names = st.sampled_from(["A", "B"])
+_bits = st.sampled_from([0, 1]) | _json
+_rows = st.fixed_dictionaries(
+    {"cond": st.lists(_bits, max_size=2) | _json, "prefer": _bits}
+)
+_entries = st.fixed_dictionaries(
+    {
+        "name": _names | _json,
+        "parents": st.lists(_names, max_size=2) | _json,
+        "cpt": st.lists(_rows, max_size=4) | _json,
+    }
+) | _json
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(_entries, min_size=1, max_size=3))
+def test_cli_survives_malformed_entries(entries):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/net.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"features": entries}, fh)
+        for argv in (["optimum", path], ["dominates", path, "1", "0"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code in (0, 2, 3)
+            json.loads(out.getvalue())

@@ -203,6 +203,54 @@ class TestJson:
         with pytest.raises(ValueError):
             net_from_json({"features": [{"name": "A"}]})
 
+    @pytest.mark.parametrize(
+        "value", [0.5, 1.0, "1", True], ids=["half", "float", "string", "bool"]
+    )
+    def test_rejects_non_bit_prefer(self, value):
+        raw = {"features": [{"name": "A", "parents": [], "cpt": [{"cond": [], "prefer": value}]}]}
+        with pytest.raises(ValueError):
+            net_from_json(raw)
+
+    @pytest.mark.parametrize(
+        "value", [0.0, "0", False], ids=["float", "string", "bool"]
+    )
+    def test_rejects_non_bit_cond(self, value):
+        raw = {
+            "features": [
+                {"name": "A", "parents": [], "cpt": [{"cond": [], "prefer": 0}]},
+                {
+                    "name": "B",
+                    "parents": ["A"],
+                    "cpt": [
+                        {"cond": [value], "prefer": 0},
+                        {"cond": [1], "prefer": 1},
+                    ],
+                },
+            ]
+        }
+        with pytest.raises(ValueError):
+            net_from_json(raw)
+
+    def test_rejects_non_string_name(self):
+        raw = {"features": [{"name": ["A"], "parents": [], "cpt": [{"cond": [], "prefer": 0}]}]}
+        with pytest.raises(ValueError):
+            net_from_json(raw)
+
+    def test_rejects_string_parents(self):
+        raw = {
+            "features": [
+                {"name": "A", "parents": [], "cpt": [{"cond": [], "prefer": 0}]},
+                {"name": "B", "parents": [], "cpt": [{"cond": [], "prefer": 0}]},
+                {
+                    "name": "C",
+                    "parents": "AB",
+                    "cpt": [{"cond": [a, b], "prefer": 0} for a in (0, 1) for b in (0, 1)],
+                },
+            ]
+        }
+        with pytest.raises(ValueError):
+            net_from_json(raw)
+
     def test_rejects_repeated_condition(self):
         raw = {
             "features": [

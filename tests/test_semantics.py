@@ -20,6 +20,7 @@ from cpnets import (
     reach_set,
     replay,
 )
+from cpnets.semantics import reverse_reach_set
 from helpers import random_net
 
 
@@ -71,6 +72,17 @@ class TestDinner:
     def test_reach_sets(self, dinner_net):
         assert reach_set(dinner_net, MR) == {MR}
         assert reach_set(dinner_net, FR) == {FR, MR, FW, MW}
+        assert reverse_reach_set(dinner_net, FR) == {FR}
+        assert reverse_reach_set(dinner_net, MR) == {FR, MR, FW, MW}
+
+    def test_reverse_reach_set_mirrors_reach_set(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            net = random_net(rng, rng.randint(1, 6))
+            size = 1 << net.n
+            below = [reverse_reach_set(net, a) for a in range(size)]
+            for b in range(size):
+                assert reach_set(net, b) == {a for a in range(size) if b in below[a]}
 
     def test_visited_is_reported(self, dinner_net):
         ans = dominates(dinner_net, FR, MR)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cpnets import (
+    CPTable,
     CnfFormula,
     InstanceTooLarge,
     MCPNet,
@@ -20,10 +21,12 @@ from cpnets import (
     is_pareto_optimum,
     m_ipo,
     majority_dominates,
+    net_from_tables,
     pareto_dominates,
+    value_at,
 )
 from cpnets.voting import _threshold_mask
-from helpers import random_net, random_profile
+from helpers import majority_dominators, random_net, random_profile
 
 MR, MW, FR, FW = 0b00, 0b01, 0b10, 0b11
 
@@ -198,24 +201,54 @@ class TestDefinitions:
 
 
 class TestMajorityModes:
-    def test_pair_mode_agrees_with_closure_mode(self):
+    def test_all_four_queries_match_oracle_vote_count(self):
         rng = random.Random(73)
-        for _ in range(15):
-            profile = random_profile(rng, rng.randint(2, 4), rng.randint(1, 3))
-            size = 1 << profile.n
-            alpha = rng.randrange(size)
-            assert is_majority_optimal(
-                profile, alpha, closure_bound=0
-            ) == is_majority_optimal(profile, alpha)
-            assert is_majority_optimum(
-                profile, alpha, closure_bound=0
-            ) == is_majority_optimum(profile, alpha)
-            assert exists_majority_optimal(
-                profile, closure_bound=0
-            ) == exists_majority_optimal(profile)
-            assert exists_majority_optimum(
-                profile, closure_bound=0
-            ) == exists_majority_optimum(profile)
+        for k in range(36):
+            n, m = rng.randint(1, 7), 1 + k % 6
+            # Agents without a shared topological order, so that the flip
+            # pre-test alone cannot settle is_majority_optimal.
+            profile = random_profile(rng, n, m, shuffle=True)
+            if k % 2:
+                # A majority of identical agents plants a majority optimum.
+                base = profile.agents[0]
+                agents = (base,) * (m // 2 + 1) + profile.agents[m // 2 + 1:]
+                profile = MCPNet(agents=agents)
+            beaten_by = majority_dominators(profile)
+            size = 1 << n
+            optimal = [a for a in range(size) if beaten_by[a] == 0]
+            optimum = [
+                a
+                for a in range(size)
+                if all((beaten_by[b] >> a) & 1 for b in range(size) if b != a)
+            ]
+            for a in range(size):
+                assert is_majority_optimal(profile, a) == (a in optimal)
+                assert is_majority_optimum(profile, a) == (a in optimum)
+            for found, exists in (
+                (optimal, exists_majority_optimal),
+                (optimum, exists_majority_optimum),
+            ):
+                expected = (True, found[0]) if found else (False, None)
+                assert exists(profile) == expected
+
+    def test_search_decides_past_flip_pretest(self):
+        # At 00 agent 0 may only raise X and agent 1 only Y, so no single
+        # flip wins a majority, yet each then raises the other feature and
+        # both prefer 11. The third agent's optimum is 00.
+        agents = (
+            net_from_tables([
+                CPTable("X", (), {(): 1}),
+                CPTable("Y", ("X",), {(0,): 0, (1,): 1}),
+            ]),
+            net_from_tables([
+                CPTable("X", ("Y",), {(0,): 0, (1,): 1}),
+                CPTable("Y", (), {(): 1}),
+            ]),
+            net_from_tables([CPTable("X", (), {(): 0}), CPTable("Y", (), {(): 0})]),
+        )
+        profile = MCPNet(agents=agents)
+        assert majority_dominators(profile)[0b00] == 1 << 0b11
+        assert not is_majority_optimal(profile, 0b00)
 
     def test_witness_is_lowest_in_canonical_order(self):
         rng = random.Random(79)
@@ -240,13 +273,25 @@ class TestMajorityModes:
         assert exists_majority_optimal(profile) == (True, 1)
         assert exists_majority_optimum(profile) == (True, 1)
 
-    def test_size_gate(self, dinner_profile):
+    def test_size_gate(self):
+        rng = random.Random(89)
+        wide = random_profile(rng, 25, 2)
         for op in (exists_majority_optimal, exists_majority_optimum):
             with pytest.raises(InstanceTooLarge):
-                op(dinner_profile, pair_bound=1)
-        for op in (is_majority_optimal, is_majority_optimum):
-            with pytest.raises(InstanceTooLarge):
-                op(dinner_profile, 0, pair_bound=1)
+                op(wide)
+        # is_* enumerate nothing, so 30 features are answered directly.
+        n, shared = 30, rng.randrange(1 << 30)
+        agents = tuple(random_net(rng, n) for _ in range(3))
+        for net in agents:
+            for j, name in enumerate(net.features):
+                table = net.tables[name]
+                cond = tuple(value_at(shared, n, net.index(p)) for p in table.parents)
+                table.rows[cond] = value_at(shared, n, j)
+        profile = MCPNet(agents=agents)
+        assert all(forward_sweep_optimum(net) == shared for net in agents)
+        assert is_majority_optimal(profile, shared)
+        assert not is_majority_optimal(profile, shared ^ 1)
+        assert not is_majority_optimum(profile, shared ^ 1)
 
     def test_outcome_range_checked(self, dinner_profile):
         with pytest.raises(ValueError):
