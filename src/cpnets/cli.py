@@ -102,8 +102,8 @@ def _outcome_arg(
         if key in assignments:
             raise ValueError(f"feature {key!r} assigned twice")
         assignments[key] = value
-    out = 0
-    for idx, name in enumerate(net.features):
+    raised = []
+    for name in net.features:
         if name not in assignments:
             raise ValueError(f"missing value for feature {name!r}")
         value = assignments.pop(name)
@@ -115,12 +115,12 @@ def _outcome_arg(
         else:
             raise ValueError(f"unknown value {value!r} for feature {name!r}")
         if bit:
-            out |= 1 << (net.n - 1 - idx)
+            raised.append(name)
     if assignments:
         raise ValueError(
             "unknown features: " + ", ".join(sorted(assignments))
         )
-    return out
+    return net.mask(*raised)
 
 
 def _witness_json(seq, n: int) -> dict:
@@ -200,7 +200,7 @@ def _cmd_pareto(args) -> dict:
         alpha = _outcome_arg(args.outcome, base, values, args.named)
         return {"answer": voting.is_pareto_optimum(profile, alpha)}
     if args.query == "exists-optimal":
-        ok, witness = voting.exists_pareto_optimal(profile, args.max_states)
+        ok, witness = voting.exists_pareto_optimal(profile)
         return {"answer": ok, "witness": outcome_str(witness, profile.n)}
     ok, witness = voting.exists_pareto_optimum(profile)
     return {
@@ -434,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
             elif query.startswith("is-"):
                 q.add_argument("outcome")
             _add_named(q)
-            _add_max_states(q)
+            if group == "majority" or query in ("dominates", "is-optimal"):
+                _add_max_states(q)
             q.set_defaults(handler=handler)
 
     p = sub.add_parser("gadget", help="generate nets and profiles from formulas")

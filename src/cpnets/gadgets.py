@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
-from .model import CPNet, CPTable, MCPNet, net_from_tables, value_at
+from .model import CPNet, CPTable, MCPNet, check_outcome, net_from_tables, value_at
 
 PartialAssignment = Mapping[int, bool]
 
@@ -103,14 +103,8 @@ class FormulaNet:
 
     def beta_bar(self) -> int:
         """Outcome with exactly the variable and clause features raised."""
-        n = self.net.n
-        out = 0
-        for t, f in self.var_features:
-            out |= 1 << (n - 1 - self.net.index(t))
-            out |= 1 << (n - 1 - self.net.index(f))
-        for d in self.clause_features:
-            out |= 1 << (n - 1 - self.net.index(d))
-        return out
+        pairs = (name for pair in self.var_features for name in pair)
+        return self.net.mask(*pairs, *self.clause_features)
 
 
 def _literal_rows(lit: int) -> dict[tuple[int, int], int]:
@@ -162,17 +156,13 @@ def encode_assignment(sigma: PartialAssignment, context) -> int:
     object with .net and .var_features (FormulaNet, SummarizedNet, or a
     profile wrapper).
     """
-    net: CPNet = context.net
     pairs = context.var_features
-    n = net.n
-    out = 0
+    raised = []
     for var, val in sigma.items():
         if not 1 <= var <= len(pairs):
             raise ValueError(f"assignment mentions unknown variable {var}")
-        t, f = pairs[var - 1]
-        name = t if val else f
-        out |= 1 << (n - 1 - net.index(name))
-    return out
+        raised.append(pairs[var - 1][0 if val else 1])
+    return context.net.mask(*raised)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +253,14 @@ def direct_net(alpha: int, features: Sequence[str]) -> CPNet:
     if not feats:
         raise ValueError("direct net needs at least one feature")
     n = len(feats)
-    if not 0 <= alpha < (1 << n):
-        raise ValueError(f"outcome {alpha} out of range for {n} features")
-    return net_from_tables(
+    net = net_from_tables(
         [
             CPTable(name, (), {(): value_at(alpha, n, i)})
             for i, name in enumerate(feats)
         ]
     )
+    check_outcome(net, alpha)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +295,7 @@ class SummarizedNet:
     def beta_bar(self, var_bits: int = 0) -> int:
         """Outcome raising exactly U1 and U2; var_bits, when given, is OR-ed
         in to choose values for the variable pairs."""
-        n = self.net.n
-        out = 1 << (n - 1 - self.net.index(self.u1))
-        out |= 1 << (n - 1 - self.net.index(self.u2))
-        return out | var_bits
+        return self.net.mask(self.u1, self.u2) | var_bits
 
 
 def summarized_formula_net(
@@ -324,8 +311,8 @@ def summarized_formula_net(
     gated = {(0,): 1, (1,): 0}
     tables: list[CPTable] = []
     for t, f in var_names:
-        tables.append(CPTable(t, (u1,), dict(gated)))
-        tables.append(CPTable(f, (u1,), dict(gated)))
+        tables.append(CPTable(t, (u1,), gated))
+        tables.append(CPTable(f, (u1,), gated))
     literal_features = []
     clause_features = []
     for j, clause in enumerate(phi.clauses, start=1):
@@ -390,7 +377,7 @@ def _suffixed(f: FormulaNet, suffix: str) -> FormulaNet:
 
     tables = {
         r(name): CPTable(
-            r(name), tuple(r(p) for p in t.parents), dict(t.rows)
+            r(name), tuple(r(p) for p in t.parents), t.rows
         )
         for name, t in f.net.tables.items()
     }
@@ -557,7 +544,7 @@ def _swapped_tables(tables: dict[str, CPTable], a: str, b: str) -> dict[str, CPT
         return swap.get(s, s)
 
     return {
-        r(name): CPTable(r(name), tuple(r(p) for p in t.parents), dict(t.rows))
+        r(name): CPTable(r(name), tuple(r(p) for p in t.parents), t.rows)
         for name, t in tables.items()
     }
 
@@ -607,10 +594,7 @@ class MEml:
         return self.profile.agents[0]
 
     def alpha_bar(self) -> int:
-        n = self.net.n
-        return (1 << (n - 1 - self.net.index(self.u1))) | (
-            1 << (n - 1 - self.net.index(self.u2))
-        )
+        return self.net.mask(self.u1, self.u2)
 
     def beta_sigma(self, sigma: PartialAssignment) -> int:
         allowed = set(self.exists_vars)
@@ -673,12 +657,10 @@ def m_eml(formula: Qbf2Formula) -> MEml:
 def m_imm(formula: Qbf2Formula) -> MImm:
     parts = _qbf_parts(formula)
     summary = parts.summary
-    size = len(parts.universe)
-    alpha_bar = (1 << (size - 1 - parts.universe.index(summary.u1))) | (
-        1 << (size - 1 - parts.universe.index(summary.u2))
-    )
+    flat = CPNet(parts.universe, _flat_tables(parts))
+    alpha_bar = flat.mask(summary.u1, summary.u2)
     agents = (
-        CPNet(parts.universe, _flat_tables(parts)),
+        flat,
         direct_net(alpha_bar, parts.universe),
         CPNet(parts.universe, _watcher_tables(parts)),
     )
@@ -696,11 +678,15 @@ def m_imm(formula: Qbf2Formula) -> MImm:
 # ---------------------------------------------------------------------------
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse conjunctive-normal-form text: a 'p cnf <vars> <clauses>'
-    header, then whitespace-separated literals with 0 ending each clause.
-    Lines starting with 'c' or '%' are comments."""
+def _read_dimacs(
+    text: str, blocks: str = ""
+) -> tuple[int | None, dict[str, list[int]], tuple[tuple[int, ...], ...]]:
+    """Tokenize DIMACS-style text: the variable count of the 'p cnf' header
+    (None without one), the variables listed on each quantifier line whose
+    letter is in `blocks`, and the clauses, each ended by 0. Lines starting
+    with 'c' or '%' are comments."""
     num_vars = None
+    quantified: dict[str, list[int]] = {letter: [] for letter in blocks}
     tokens: list[int] = []
     for line in text.splitlines():
         s = line.strip()
@@ -711,22 +697,30 @@ def parse_dimacs(text: str) -> CnfFormula:
             if len(parts) < 4 or parts[1] != "cnf":
                 raise ValueError(f"bad header line: {s!r}")
             num_vars = int(parts[2])
-            continue
-        tokens.extend(int(tok) for tok in s.split())
-    if num_vars is None:
-        raise ValueError("missing 'p cnf' header")
+        elif s[0] in quantified:
+            quantified[s[0]].extend(int(t) for t in s.split()[1:] if t != "0")
+        else:
+            tokens.extend(int(tok) for tok in s.split())
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for tok in tokens:
-        if tok == 0:
-            if current:
-                clauses.append(tuple(current))
-                current = []
-        else:
+        if tok:
             current.append(tok)
+        elif current:
+            clauses.append(tuple(current))
+            current = []
     if current:
         clauses.append(tuple(current))
-    phi = CnfFormula(num_vars=num_vars, clauses=tuple(clauses))
+    return num_vars, quantified, tuple(clauses)
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Parse conjunctive-normal-form text: a 'p cnf <vars> <clauses>'
+    header, then whitespace-separated literals with 0 ending each clause."""
+    num_vars, _, clauses = _read_dimacs(text)
+    if num_vars is None:
+        raise ValueError("missing 'p cnf' header")
+    phi = CnfFormula(num_vars=num_vars, clauses=clauses)
     check_formula(phi)
     return phi
 
@@ -734,45 +728,14 @@ def parse_dimacs(text: str) -> CnfFormula:
 def parse_qdimacs(text: str) -> Qbf2Formula:
     """Parse two-block quantified input: an 'e <vars> 0' line, an
     'a <vars> 0' line, then clauses as in plain DIMACS."""
-    exists: list[int] = []
-    forall: list[int] = []
-    body: list[str] = []
-    num_vars = None
-    for line in text.splitlines():
-        s = line.strip()
-        if not s or s.startswith(("c", "%")):
-            continue
-        if s.startswith("p"):
-            parts = s.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise ValueError(f"bad header line: {s!r}")
-            num_vars = int(parts[2])
-            continue
-        if s.startswith("e"):
-            exists.extend(int(t) for t in s.split()[1:] if t != "0")
-            continue
-        if s.startswith("a"):
-            forall.extend(int(t) for t in s.split()[1:] if t != "0")
-            continue
-        body.append(s)
+    num_vars, blocks, clauses = _read_dimacs(text, "ea")
+    exists, forall = blocks["e"], blocks["a"]
     if num_vars is None:
         num_vars = len(exists) + len(forall)
-    tokens = [int(t) for chunk in body for t in chunk.split()]
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for tok in tokens:
-        if tok == 0:
-            if current:
-                clauses.append(tuple(current))
-                current = []
-        else:
-            current.append(tok)
-    if current:
-        clauses.append(tuple(current))
     formula = Qbf2Formula(
         exists_vars=tuple(exists),
         forall_vars=tuple(forall),
-        matrix=CnfFormula(num_vars=num_vars, clauses=tuple(clauses)),
+        matrix=CnfFormula(num_vars=num_vars, clauses=clauses),
     )
     check_qbf(formula)
     return formula

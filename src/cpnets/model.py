@@ -5,51 +5,66 @@ the insertion order at construction time, and an outcome is a plain int whose
 binary rendering follows that order: feature 0 occupies the most significant
 bit, so the bitstring "10" over features (A, B) means A=1, B=0 and equals the
 int 2. Enumerating ``range(2 ** n)`` therefore walks outcomes in canonical
-lexicographic order.
+lexicographic order. Feature bits come from ``feature_mask``, ``value_at``
+and ``CPNet.mask`` alone.
 
 A CP table stores one preferred value per complete parent assignment; tables
-are always fully materialized (2^|parents| rows).
+are always fully materialized (2^|parents| rows). Tables, nets and profiles
+are frozen: rows and tables are read-only copies of what was passed in.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import CycleError
 
 MAX_PARENTS = 20
 
+FlipRule = tuple[int, int, frozenset[int]]
 
-@dataclass
+
+@dataclass(frozen=True, slots=True)
 class CPTable:
     """Conditional preference table of one feature.
 
     rows maps each parent assignment (a tuple of 0/1 values, in parent
     order) to the preferred value of the feature under that assignment.
+    Slotted because tables are the most numerous objects a net holds.
     """
 
     feature: str
     parents: tuple[str, ...]
-    rows: dict[tuple[int, ...], int]
+    rows: Mapping[tuple[int, ...], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CPNet:
     """A CP-net: an ordered feature tuple plus one CPTable per feature.
 
-    The edge set is implied by the tables (parent -> feature). Instances
-    are treated as immutable after construction.
+    The edge set is implied by the tables (parent -> feature). The compiled
+    flip rules are built on first use, so a malformed net can still be
+    built and handed to validate_net.
     """
 
     features: tuple[str, ...]
-    tables: dict[str, CPTable]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    tables: Mapping[str, CPTable]
 
     def __post_init__(self):
-        self._index = {name: i for i, name in enumerate(self.features)}
+        object.__setattr__(self, "features", tuple(self.features))
+        object.__setattr__(self, "tables", MappingProxyType(dict(self.tables)))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.features)}
 
     @property
     def n(self) -> int:
@@ -58,6 +73,13 @@ class CPNet:
     def index(self, name: str) -> int:
         return self._index[name]
 
+    def mask(self, *names: str) -> int:
+        """The bits of the named features, OR-ed together."""
+        out = 0
+        for name in names:
+            out |= feature_mask(self.n, self._index[name])
+        return out
+
     def parents(self, name: str) -> tuple[str, ...]:
         return self.tables[name].parents
 
@@ -65,12 +87,60 @@ class CPNet:
     def edges(self) -> set[tuple[str, str]]:
         return {(p, t.feature) for t in self.tables.values() for p in t.parents}
 
+    @cached_property
+    def rules(self) -> tuple[FlipRule, ...]:
+        """Per-feature flip tests, in canonical feature order.
 
-@dataclass
+        For feature j the triple is (relevant mask, own bit, triggers): a
+        flip of j improves outcome o exactly when (o & relevant) is a
+        trigger, and the flipped outcome is o ^ own. A trigger packs one
+        table row's parent values together with the feature sitting at the
+        less preferred value.
+        """
+        rules = []
+        for j, name in enumerate(self.features):
+            table = self.tables[name]
+            own = feature_mask(self.n, j)
+            parent_bits = [self.mask(p) for p in table.parents]
+            relevant = own | self.mask(*table.parents)
+            triggers = set()
+            for cond, pref in table.rows.items():
+                pattern = own if pref == 0 else 0
+                for bit, v in zip(parent_bits, cond):
+                    if v:
+                        pattern |= bit
+                triggers.add(pattern)
+            rules.append((relevant, own, frozenset(triggers)))
+        return tuple(rules)
+
+    @cached_property
+    def worsening_rules(self) -> tuple[FlipRule, ...]:
+        """The mirror of rules: each trigger is an improving one with the
+        feature at its preferred value, so it marks a worsening flip."""
+        return tuple(
+            (relevant, own, frozenset(t ^ own for t in triggers))
+            for relevant, own, triggers in self.rules
+        )
+
+
+@dataclass(frozen=True)
 class MCPNet:
-    """A profile of m CP-nets over one shared feature universe."""
+    """A profile of m CP-nets over one shared feature universe.
+
+    Raises ValueError for no agents, or for an agent whose feature tuple
+    differs from agent 0's.
+    """
 
     agents: tuple[CPNet, ...]
+
+    def __post_init__(self):
+        agents = tuple(self.agents)
+        object.__setattr__(self, "agents", agents)
+        if not agents:
+            raise ValueError("profile has no agents")
+        for i, agent in enumerate(agents):
+            if agent.features != agents[0].features:
+                raise ValueError(f"agent {i} feature list differs from agent 0")
 
     @property
     def m(self) -> int:
@@ -108,6 +178,14 @@ def parse_outcome(text: str, n: int) -> int:
             f"outcome must be a bitstring of length {n}, got {text!r}"
         )
     return int(text, 2)
+
+
+def check_outcome(net: CPNet | MCPNet, outcome: int) -> None:
+    """Raise ValueError unless the outcome names one of the 2**n outcomes."""
+    if not 0 <= outcome < (1 << net.n):
+        raise ValueError(
+            f"outcome {outcome} out of range for {net.n} features"
+        )
 
 
 def outcome_str(outcome: int, n: int) -> str:
@@ -220,19 +298,13 @@ def indegree(net: CPNet) -> int:
 
 
 def validate_profile(profile: MCPNet) -> list[str]:
-    problems: list[str] = []
-    if profile.m < 1:
-        problems.append("profile has no agents")
-        return problems
-    base = profile.agents[0].features
-    for i, agent in enumerate(profile.agents):
-        if agent.features != base:
-            problems.append(
-                f"agent {i} feature list differs from agent 0"
-            )
-        for issue in validate_net(agent):
-            problems.append(f"agent {i}: {issue}")
-    return problems
+    """Every agent's violations, prefixed with its index. The shared
+    universe is checked when the profile is built."""
+    return [
+        f"agent {i}: {issue}"
+        for i, agent in enumerate(profile.agents)
+        for issue in validate_net(agent)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +378,6 @@ def profile_from_json(data: Mapping) -> MCPNet:
     if not isinstance(data, Mapping) or "agents" not in data:
         raise ValueError("profile JSON must be an object with an 'agents' list")
     agents = data["agents"]
-    if not isinstance(agents, list) or not agents:
-        raise ValueError("'agents' must be a non-empty list")
+    if not isinstance(agents, list):
+        raise ValueError("'agents' must be a list")
     return MCPNet(agents=tuple(net_from_json(a) for a in agents))

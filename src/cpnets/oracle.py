@@ -24,7 +24,7 @@ from .gadgets import (
     m_nowin,
     summarized_formula_net,
 )
-from .model import CPNet, MCPNet, outcome_str
+from .model import CPNet, MCPNet, feature_mask, outcome_str
 
 ORACLE_BOUND = 14
 SAT_BOUND = 24
@@ -58,8 +58,8 @@ def build_graph(net: CPNet, bound: int = ORACLE_BOUND) -> ExtendedPreferenceGrap
     per_feature = []
     for idx, name in enumerate(net.features):
         table = net.tables[name]
-        parent_bits = tuple(1 << (n - 1 - net.index(p)) for p in table.parents)
-        per_feature.append((parent_bits, 1 << (n - 1 - idx), table.rows))
+        parent_bits = tuple(net.mask(p) for p in table.parents)
+        per_feature.append((parent_bits, feature_mask(n, idx), table.rows))
     arcs: list[list[int]] = [[] for _ in range(1 << n)]
     for outcome in range(1 << n):
         here = arcs[outcome]

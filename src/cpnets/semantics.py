@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import StateBudgetExceeded
-from .model import CPNet, MCPNet, topological_order, value_at
+from .model import CPNet, FlipRule, check_outcome, topological_order
 
 DEFAULT_MAX_STATES = 1 << 24
 
@@ -38,57 +38,9 @@ class DominanceAnswer:
     visited: int = 0
 
 
-def flip_rules(net: CPNet) -> list[tuple[int, int, frozenset[int]]]:
-    """Compile the net into per-feature flip tests.
-
-    For feature j the triple is (relevant mask, own bit, triggers): a flip
-    of j improves outcome o exactly when (o & relevant) is a trigger, and
-    the flipped outcome is o ^ own. A trigger packs one table row's parent
-    values together with the feature sitting at the less preferred value.
-    The compiled list is cached on the net, which is immutable.
-    """
-    cached = getattr(net, "_flip_rules", None)
-    if cached is not None:
-        return cached
-    n = net.n
-    rules = []
-    for j, name in enumerate(net.features):
-        table = net.tables[name]
-        own = 1 << (n - 1 - j)
-        parent_bits = [1 << (n - 1 - net.index(p)) for p in table.parents]
-        relevant = own
-        for b in parent_bits:
-            relevant |= b
-        triggers = set()
-        for cond, pref in table.rows.items():
-            pattern = own if pref == 0 else 0
-            for bit, v in zip(parent_bits, cond):
-                if v:
-                    pattern |= bit
-            triggers.add(pattern)
-        rules.append((relevant, own, frozenset(triggers)))
-    net._flip_rules = rules
-    return rules
-
-
-def worsening_rules(net: CPNet) -> list[tuple[int, int, frozenset[int]]]:
-    """The mirror of flip_rules: each trigger is an improving one with the
-    feature at its preferred value, so it marks a worsening flip. Cached."""
-    cached = getattr(net, "_worsening_rules", None)
-    if cached is None:
-        cached = net._worsening_rules = [
-            (relevant, own, frozenset(t ^ own for t in triggers))
-            for relevant, own, triggers in flip_rules(net)
-        ]
-    return cached
-
-
-def check_outcome(net: CPNet | MCPNet, outcome: int) -> None:
-    """Raise ValueError unless the outcome names one of the 2**n outcomes."""
-    if not 0 <= outcome < (1 << net.n):
-        raise ValueError(
-            f"outcome {outcome} out of range for {net.n} features"
-        )
+def flip_rules(net: CPNet) -> tuple[FlipRule, ...]:
+    """The net's compiled flip tests; see CPNet.rules."""
+    return net.rules
 
 
 def improving_flips(net: CPNet, outcome: int) -> list[tuple[str, int]]:
@@ -99,7 +51,7 @@ def improving_flips(net: CPNet, outcome: int) -> list[tuple[str, int]]:
     """
     check_outcome(net, outcome)
     flips = []
-    for j, (relevant, own, triggers) in enumerate(flip_rules(net)):
+    for j, (relevant, own, triggers) in enumerate(net.rules):
         if outcome & relevant in triggers:
             flips.append((net.features[j], outcome ^ own))
     return flips
@@ -110,7 +62,7 @@ def is_optimal(net: CPNet, outcome: int) -> bool:
     check_outcome(net, outcome)
     return all(
         outcome & relevant not in triggers
-        for relevant, _, triggers in flip_rules(net)
+        for relevant, _, triggers in net.rules
     )
 
 
@@ -120,13 +72,11 @@ def forward_sweep_optimum(net: CPNet) -> int:
     Walks features parents-first, giving each its preferred value under the
     already chosen parent values.
     """
-    n = net.n
     out = 0
     for name in topological_order(net):
-        table = net.tables[name]
-        cond = tuple(value_at(out, n, net.index(p)) for p in table.parents)
-        if table.rows[cond]:
-            out |= 1 << (n - 1 - net.index(name))
+        relevant, own, triggers = net.rules[net.index(name)]
+        if out & relevant in triggers:
+            out |= own
     return out
 
 
@@ -139,7 +89,7 @@ def reach_set(
     visited.
     """
     check_outcome(net, alpha)
-    return _search(flip_rules(net), alpha, max_states)
+    return _search(net.rules, alpha, max_states)
 
 
 def reverse_reach_set(
@@ -148,7 +98,7 @@ def reverse_reach_set(
     """Every outcome reachable from alpha by worsening flips, alpha
     included: the outcomes alpha dominates. Same budget as reach_set."""
     check_outcome(net, alpha)
-    return _search(worsening_rules(net), alpha, max_states)
+    return _search(net.worsening_rules, alpha, max_states)
 
 
 def _search(rules, alpha: int, max_states: int) -> set[int]:
@@ -183,7 +133,7 @@ def dominates(
     check_outcome(net, beta)
     if alpha == beta:
         return DominanceAnswer(False, None, 1)
-    rules = flip_rules(net)
+    rules = net.rules
     prev: dict[int, tuple[int, int] | None] = {alpha: None}
     queue = deque((alpha,))
     while queue:
@@ -210,14 +160,13 @@ def _assemble_witness(
     alpha: int,
     beta: int,
 ) -> FlipSequence:
-    n = net.n
     steps = []
     o = beta
     while o != alpha:
         back = prev[o]
         assert back is not None
         before, j = back
-        v = value_at(before, n, j)
+        v = 1 if before & net.rules[j][1] else 0
         steps.append((net.features[j], v, 1 - v))
         o = before
     steps.reverse()
@@ -227,16 +176,13 @@ def _assemble_witness(
 def replay(net: CPNet, seq: FlipSequence) -> bool:
     """Check a witness: each step must be improving when applied, and the
     walk must go from seq.start to seq.end."""
-    n = net.n
-    rules = flip_rules(net)
     o = seq.start
     for name, before, after in seq.steps:
         if name not in net.tables:
             return False
-        j = net.index(name)
-        if value_at(o, n, j) != before or after != 1 - before:
+        relevant, own, triggers = net.rules[net.index(name)]
+        if (1 if o & own else 0) != before or after != 1 - before:
             return False
-        relevant, own, triggers = rules[j]
         if o & relevant not in triggers:
             return False
         o ^= own

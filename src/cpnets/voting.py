@@ -17,12 +17,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InstanceTooLarge, StateBudgetExceeded
-from .model import CPNet, MCPNet
+from .model import CPNet, MCPNet, check_outcome
 from .semantics import (
     DEFAULT_MAX_STATES,
-    check_outcome,
     dominates,
-    flip_rules,
     forward_sweep_optimum,
     reach_set,
     reverse_reach_set,
@@ -127,7 +125,7 @@ def is_pareto_optimal(
     """
     agents = profile.agents
     check_outcome(profile, alpha)
-    rules = [flip_rules(net) for net in agents]
+    rules = [net.rules for net in agents]
     seen: list[set[int]] = [{alpha} for _ in agents]
     frontier: list[list[int]] = [[alpha] for _ in agents]
     while any(frontier):
@@ -150,13 +148,9 @@ def is_pareto_optimal(
     return True
 
 
-def exists_pareto_optimal(
-    profile: MCPNet,
-    max_states: int = DEFAULT_MAX_STATES,
-) -> tuple[bool, int]:
+def exists_pareto_optimal(profile: MCPNet) -> tuple[bool, int]:
     """Always (True, witness): agent 1's optimum is never Pareto-dominated,
     because nothing dominates it for agent 1."""
-    del max_states
     return True, forward_sweep_optimum(profile.agents[0])
 
 
@@ -218,7 +212,7 @@ def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
     movers = []
     for net in profile.agents:
         moves = False
-        for j, (relevant, _, triggers) in enumerate(flip_rules(net)):
+        for j, (relevant, _, triggers) in enumerate(net.rules):
             if alpha & relevant in triggers:
                 votes[j] += 1
                 moves = True

@@ -21,7 +21,7 @@ from cpnets import (
     profile_to_json,
 )
 from cpnets.cli import main
-from helpers import random_profile
+from helpers import random_net, random_profile
 
 
 def run(capsys, *argv):
@@ -260,6 +260,15 @@ class TestVotingCommands:
             capsys, "majority", "dominates", profile_path, "00", "01"
         )
         assert (code, payload["answer"]) == (0, True)
+
+    def test_agents_over_differing_features_is_exit_2(self, capsys, tmp_path):
+        rng = random.Random(101)
+        agents = [net_to_json(random_net(rng, n)) for n in (3, 5)]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"agents": agents}))
+        code, payload = run_json(capsys, "majority", "is-optimal", str(path), "111")
+        assert code == 2
+        assert "differs from agent 0" in payload["error"]
 
     def test_majority_exists_gate(self, capsys, tmp_path):
         wide = random_profile(random.Random(97), 25, 2)

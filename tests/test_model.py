@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -60,8 +61,13 @@ class TestValidation:
         assert any("no CP table" in p for p in validate_net(net))
 
     def test_table_for_unknown_feature(self):
-        net = make_net({"A": ((), {(): 0})})
-        net.tables["Ghost"] = CPTable("Ghost", (), {(): 1})
+        net = CPNet(
+            features=("A",),
+            tables={
+                "A": CPTable("A", (), {(): 0}),
+                "Ghost": CPTable("Ghost", (), {(): 1}),
+            },
+        )
         assert any("unknown feature" in p for p in validate_net(net))
 
     def test_table_name_mismatch(self):
@@ -178,6 +184,10 @@ class TestOutcomes:
     def test_first_feature_is_high_bit(self):
         assert feature_mask(3, 0) == 0b100
         assert feature_mask(3, 2) == 0b001
+        net = make_net({name: ((), {(): 0}) for name in "ABC"})
+        assert net.mask("A") == 0b100
+        assert net.mask("C", "A") == 0b101
+        assert net.mask() == 0
         assert value_at(0b100, 3, 0) == 1
         assert value_at(0b100, 3, 2) == 0
 
@@ -274,6 +284,8 @@ class TestJson:
     def test_profile_rejects_empty_agents(self):
         with pytest.raises(ValueError):
             profile_from_json({"agents": []})
+        with pytest.raises(ValueError, match="no agents"):
+            MCPNet(agents=())
 
     def test_random_roundtrips(self):
         rng = random.Random(23)
@@ -301,5 +313,25 @@ def test_profile_universe_mismatch_is_flagged(seed):
     rng = random.Random(seed)
     good = random_profile(rng, 3, 2)
     assert validate_profile(good) == []
-    bad = MCPNet(agents=(good.agents[0], random_net(rng, 3, ["Y1", "Y2", "Y3"])))
-    assert any("differs from agent 0" in p for p in validate_profile(bad))
+    other = random_net(rng, 3, ["Y1", "Y2", "Y3"])
+    with pytest.raises(ValueError, match="differs from agent 0"):
+        MCPNet(agents=(good.agents[0], other))
+
+
+def test_nets_tables_and_profiles_are_frozen():
+    rows = {(0,): 0, (1,): 1}
+    tables = {"A": CPTable("A", (), {(): 1}), "B": CPTable("B", ("A",), rows)}
+    net = CPNet(features=("A", "B"), tables=tables)
+    profile = MCPNet(agents=(net,))
+    before = net_to_json(net)
+    with pytest.raises(TypeError):
+        net.tables["A"] = CPTable("A", (), {(): 0})
+    with pytest.raises(TypeError):
+        net.tables["B"].rows[(0,)] = 1
+    with pytest.raises(FrozenInstanceError):
+        net.features = ("B", "A")
+    with pytest.raises(FrozenInstanceError):
+        profile.agents = ()
+    tables["A"] = CPTable("A", (), {(): 0})
+    rows[(0,)] = 1
+    assert net_to_json(net) == before

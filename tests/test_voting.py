@@ -281,17 +281,26 @@ class TestMajorityModes:
                 op(wide)
         # is_* enumerate nothing, so 30 features are answered directly.
         n, shared = 30, rng.randrange(1 << 30)
-        agents = tuple(random_net(rng, n) for _ in range(3))
-        for net in agents:
+        agents = []
+        for net in (random_net(rng, n) for _ in range(3)):
+            tables = []
             for j, name in enumerate(net.features):
                 table = net.tables[name]
                 cond = tuple(value_at(shared, n, net.index(p)) for p in table.parents)
-                table.rows[cond] = value_at(shared, n, j)
+                rows = {**table.rows, cond: value_at(shared, n, j)}
+                tables.append(CPTable(name, table.parents, rows))
+            agents.append(net_from_tables(tables))
         profile = MCPNet(agents=agents)
         assert all(forward_sweep_optimum(net) == shared for net in agents)
         assert is_majority_optimal(profile, shared)
         assert not is_majority_optimal(profile, shared ^ 1)
         assert not is_majority_optimum(profile, shared ^ 1)
+
+    def test_agents_over_differing_features_are_refused(self):
+        # Agents over 3 and 5 features: no query may answer for them.
+        rng = random.Random(101)
+        with pytest.raises(ValueError, match="differs from agent 0"):
+            MCPNet(agents=(random_net(rng, 3), random_net(rng, 5)))
 
     def test_outcome_range_checked(self, dinner_profile):
         with pytest.raises(ValueError):
