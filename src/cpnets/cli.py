@@ -2,8 +2,8 @@
 
 Answers are JSON objects on stdout (the oracle graph command can emit raw
 DOT text instead). Exit codes: 0 when the query was answered, even with a
-false answer; 2 for invalid input; 3 when an instance exceeds a size gate
-or a search exceeds its state budget.
+false answer; 2 for invalid input, usage errors included; 3 when an
+instance exceeds a size gate or a search exceeds its state budget.
 """
 
 from __future__ import annotations
@@ -151,12 +151,6 @@ def _cmd_optimum(args) -> dict:
     return {"answer": outcome_str(best, net.n)}
 
 
-def _cmd_is_optimal(args) -> dict:
-    net, values = _load_net(args.net)
-    alpha = _outcome_arg(args.outcome, net, values, args.named)
-    return {"answer": semantics.is_optimal(net, alpha)}
-
-
 def _cmd_dominates(args) -> dict:
     net, values = _load_net(args.net)
     beta = _outcome_arg(args.beta, net, values, args.named)
@@ -173,66 +167,53 @@ def _cmd_dominates(args) -> dict:
     return payload
 
 
-def _cmd_incomparable(args) -> dict:
-    net, values = _load_net(args.net)
-    a = _outcome_arg(args.a, net, values, args.named)
-    b = _outcome_arg(args.b, net, values, args.named)
-    return {"answer": semantics.incomparable(net, a, b, args.max_states)}
+# Command words -> (input kind, outcome arguments in call order, library
+# function, whether it searches). The input kind names the positional file
+# argument, "net" or "profile". A searching function takes max_states last;
+# the function answers with a bool or an (answer, outcome or None) pair.
+QUERIES = {
+    ("is-optimal",): ("net", ("outcome",), semantics.is_optimal, False),
+    ("incomparable",): ("net", ("a", "b"), semantics.incomparable, True),
+    ("pareto", "dominates"):
+        ("profile", ("beta", "alpha"), voting.pareto_dominates, True),
+    ("pareto", "is-optimal"):
+        ("profile", ("outcome",), voting.is_pareto_optimal, True),
+    ("pareto", "is-optimum"):
+        ("profile", ("outcome",), voting.is_pareto_optimum, False),
+    ("pareto", "exists-optimal"):
+        ("profile", (), voting.exists_pareto_optimal, False),
+    ("pareto", "exists-optimum"):
+        ("profile", (), voting.exists_pareto_optimum, False),
+    ("majority", "dominates"):
+        ("profile", ("beta", "alpha"), voting.majority_dominates, True),
+    ("majority", "is-optimal"):
+        ("profile", ("outcome",), voting.is_majority_optimal, True),
+    ("majority", "is-optimum"):
+        ("profile", ("outcome",), voting.is_majority_optimum, True),
+    ("majority", "exists-optimal"):
+        ("profile", (), voting.exists_majority_optimal, True),
+    ("majority", "exists-optimum"):
+        ("profile", (), voting.exists_majority_optimum, True),
+}
 
 
-def _cmd_pareto(args) -> dict:
-    profile, values = _load_profile(args.profile)
-    base = profile.agents[0]
-    if args.query == "dominates":
-        beta = _outcome_arg(args.beta, base, values, args.named)
-        alpha = _outcome_arg(args.alpha, base, values, args.named)
-        return {
-            "answer": voting.pareto_dominates(
-                profile, beta, alpha, args.max_states
-            )
-        }
-    if args.query == "is-optimal":
-        alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {
-            "answer": voting.is_pareto_optimal(profile, alpha, args.max_states)
-        }
-    if args.query == "is-optimum":
-        alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {"answer": voting.is_pareto_optimum(profile, alpha)}
-    if args.query == "exists-optimal":
-        ok, witness = voting.exists_pareto_optimal(profile)
-        return {"answer": ok, "witness": outcome_str(witness, profile.n)}
-    ok, witness = voting.exists_pareto_optimum(profile)
+def _cmd_query(args) -> dict:
+    kind, outcomes, fn, searches = QUERIES[args.words]
+    load = _load_net if kind == "net" else _load_profile
+    target, values = load(getattr(args, kind))
+    base = target if kind == "net" else target.agents[0]
+    points = [
+        _outcome_arg(getattr(args, name), base, values, args.named)
+        for name in outcomes
+    ]
+    budget = (args.max_states,) if searches else ()
+    result = fn(target, *points, *budget)
+    if isinstance(result, bool):
+        return {"answer": result}
+    ok, witness = result
     return {
         "answer": ok,
-        "witness": None if witness is None else outcome_str(witness, profile.n),
-    }
-
-
-def _cmd_majority(args) -> dict:
-    profile, values = _load_profile(args.profile)
-    base = profile.agents[0]
-    if args.query == "dominates":
-        beta = _outcome_arg(args.beta, base, values, args.named)
-        alpha = _outcome_arg(args.alpha, base, values, args.named)
-        return {
-            "answer": voting.majority_dominates(
-                profile, beta, alpha, args.max_states
-            )
-        }
-    if args.query == "is-optimal":
-        alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {"answer": voting.is_majority_optimal(profile, alpha, args.max_states)}
-    if args.query == "is-optimum":
-        alpha = _outcome_arg(args.outcome, base, values, args.named)
-        return {"answer": voting.is_majority_optimum(profile, alpha, args.max_states)}
-    if args.query == "exists-optimal":
-        ok, witness = voting.exists_majority_optimal(profile, args.max_states)
-    else:
-        ok, witness = voting.exists_majority_optimum(profile, args.max_states)
-    return {
-        "answer": ok,
-        "witness": None if witness is None else outcome_str(witness, profile.n),
+        "witness": None if witness is None else outcome_str(witness, target.n),
     }
 
 
@@ -331,22 +312,14 @@ def _cmd_oracle_check(args) -> dict:
 
 
 def _cmd_oracle_verify(args) -> dict:
-    formula_tags = ("corollary1", "lemma1", "corollary2", "lemma5")
-    if args.lemma in formula_tags:
-        if not args.cnf:
-            raise ValueError(f"--lemma {args.lemma} needs --cnf")
-        instance = gadgets.parse_dimacs(_read_text(args.cnf))
-    elif args.lemma == "lemma7":
-        if not args.profile:
-            raise ValueError("--lemma lemma7 needs --profile")
-        instance, _ = _load_profile(args.profile)
-    elif args.lemma == "theorem_nowin":
-        instance = _load_profile(args.profile)[0] if args.profile else None
+    kind = oracle.CLAIMS[args.lemma][0]
+    path = getattr(args, kind)
+    if path is None:
+        instance = None
+    elif kind == "cnf":
+        instance = gadgets.parse_dimacs(_read_text(path))
     else:
-        raise ValueError(
-            f"unknown lemma tag {args.lemma!r}; known tags: "
-            + ", ".join(oracle.LEMMA_TAGS)
-        )
+        instance, _ = _load_profile(path)
     report = oracle.verify_lemma(
         args.lemma,
         instance,
@@ -378,8 +351,15 @@ def _add_named(p: argparse.ArgumentParser):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so main answers them as bad input."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cpnets",
         description="Preference reasoning over conditional preference nets.",
     )
@@ -393,12 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.set_defaults(handler=_cmd_optimum)
 
-    p = sub.add_parser("is-optimal", help="does the outcome lack improving flips")
-    p.add_argument("net")
-    p.add_argument("outcome")
-    _add_named(p)
-    p.set_defaults(handler=_cmd_is_optimal)
-
     p = sub.add_parser("dominates", help="does beta dominate alpha")
     p.add_argument("net")
     p.add_argument("beta")
@@ -408,35 +382,21 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_max_states(p)
     p.set_defaults(handler=_cmd_dominates)
 
-    p = sub.add_parser("incomparable", help="is neither outcome dominant")
-    p.add_argument("net")
-    p.add_argument("a")
-    p.add_argument("b")
-    _add_named(p)
-    _add_max_states(p)
-    p.set_defaults(handler=_cmd_incomparable)
-
-    for group, handler in (("pareto", _cmd_pareto), ("majority", _cmd_majority)):
-        gp = sub.add_parser(group, help=f"{group} voting queries")
-        gq = gp.add_subparsers(dest="query", required=True)
-        for query in (
-            "dominates",
-            "is-optimal",
-            "is-optimum",
-            "exists-optimal",
-            "exists-optimum",
-        ):
-            q = gq.add_parser(query)
-            q.add_argument("profile")
-            if query == "dominates":
-                q.add_argument("beta")
-                q.add_argument("alpha")
-            elif query.startswith("is-"):
-                q.add_argument("outcome")
+    groups = {(): sub}
+    for words, (kind, outcomes, _, searches) in QUERIES.items():
+        group, name = words[:-1], words[-1]
+        if group not in groups:
+            gp = sub.add_parser(group[0], help=f"{group[0]} voting queries")
+            groups[group] = gp.add_subparsers(dest="query", required=True)
+        q = groups[group].add_parser(name)
+        q.add_argument(kind)
+        for outcome in outcomes:
+            q.add_argument(outcome)
+        if outcomes:
             _add_named(q)
-            if group == "majority" or query in ("dominates", "is-optimal"):
-                _add_max_states(q)
-            q.set_defaults(handler=handler)
+        if searches:
+            _add_max_states(q)
+        q.set_defaults(handler=_cmd_query, words=words)
 
     p = sub.add_parser("gadget", help="generate nets and profiles from formulas")
     p.add_argument(
@@ -480,19 +440,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle_check)
 
     p = oq.add_parser("verify", help="check a named claim on an instance")
-    p.add_argument("--lemma", required=True)
+    p.add_argument("--lemma", required=True, choices=oracle.LEMMA_TAGS)
     p.add_argument("--cnf", help="DIMACS file for formula claims")
     p.add_argument("--profile", help="profile JSON for profile claims")
     p.add_argument("--oracle-bound", type=int, default=oracle.ORACLE_BOUND)
-    _add_max_states(p, default=1 << 22)
+    _add_max_states(p, default=oracle.VERIFY_MAX_STATES)
     p.set_defaults(handler=_cmd_oracle_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload = args.handler(args)
     except (StateBudgetExceeded, InstanceTooLarge) as exc:
         print(json.dumps({"error": str(exc)}))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .errors import CycleError, InstanceTooLarge
@@ -194,14 +195,7 @@ def qbf2_enumerate(formula: Qbf2Formula, bound: int = SAT_BOUND) -> bool:
 # Lemma verification
 # ---------------------------------------------------------------------------
 
-LEMMA_TAGS = (
-    "corollary1",
-    "lemma1",
-    "corollary2",
-    "lemma5",
-    "lemma7",
-    "theorem_nowin",
-)
+VERIFY_MAX_STATES = 1 << 22
 
 
 @dataclass
@@ -210,12 +204,6 @@ class LemmaReport:
     ok: bool
     checked: int
     detail: str = ""
-
-
-def _report(tag: str, checked: int, failure: str | None) -> LemmaReport:
-    if failure is None:
-        return LemmaReport(tag=tag, ok=True, checked=checked, detail="pass")
-    return LemmaReport(tag=tag, ok=False, checked=checked, detail=failure)
 
 
 def _check_pair_equivalence(
@@ -236,16 +224,16 @@ def _check_pair_equivalence(
     return None
 
 
-def _verify_corollary1(phi: CnfFormula, bound: int) -> LemmaReport:
-    built = formula_net(phi)
+def _verify_corollary(build, phi: CnfFormula, bound: int, max_states: int):
+    """beta_bar dominates alpha in build(phi) exactly when phi is satisfiable."""
+    built = build(phi)
     clo = closure(build_graph(built.net, bound))
-    failure = _check_pair_equivalence(
+    return 1, _check_pair_equivalence(
         clo, built.beta_bar(), built.alpha(), sat_enumerate(phi), built.net.n
     )
-    return _report("corollary1", 1, failure)
 
 
-def _verify_lemma1(phi: CnfFormula, bound: int) -> LemmaReport:
+def _verify_lemma1(phi: CnfFormula, bound: int, max_states: int):
     built = formula_net(phi)
     clo = closure(build_graph(built.net, bound))
     beta = built.beta_bar()
@@ -257,33 +245,20 @@ def _verify_lemma1(phi: CnfFormula, bound: int) -> LemmaReport:
             clo, beta, built.alpha(sigma), sat_enumerate(phi, sigma), built.net.n
         )
         if failure:
-            return _report("lemma1", checked, f"sigma={sigma}: {failure}")
-    return _report("lemma1", checked, None)
+            return checked, f"sigma={sigma}: {failure}"
+    return checked, None
 
 
-def _verify_corollary2(phi: CnfFormula, bound: int) -> LemmaReport:
-    built = summarized_formula_net(phi)
-    clo = closure(build_graph(built.net, bound))
-    failure = _check_pair_equivalence(
-        clo, built.beta_bar(), built.alpha(), sat_enumerate(phi), built.net.n
-    )
-    return _report("corollary2", 1, failure)
-
-
-def _verify_lemma5(phi: CnfFormula, max_states: int) -> LemmaReport:
+def _verify_lemma5(phi: CnfFormula, bound: int, max_states: int):
     from .voting import is_pareto_optimal
 
     gadget = m_ipo(phi)
     expected = not sat_enumerate(phi)
     actual = is_pareto_optimal(gadget.profile, 0, max_states=max_states)
-    if actual != expected:
-        verb = "should be" if expected else "should not be"
-        return _report(
-            "lemma5",
-            1,
-            f"all-zero outcome {verb} Pareto optimal in the two-agent profile",
-        )
-    return _report("lemma5", 1, None)
+    if actual == expected:
+        return 1, None
+    verb = "should be" if expected else "should not be"
+    return 1, f"all-zero outcome {verb} Pareto optimal in the two-agent profile"
 
 
 def _pareto_optimum_mask(closures: list[DominanceClosure], size: int) -> int:
@@ -298,53 +273,55 @@ def _pareto_optimum_mask(closures: list[DominanceClosure], size: int) -> int:
     return mask
 
 
-def _verify_lemma7(profile: MCPNet, bound: int) -> LemmaReport:
+def _verify_lemma7(profile: MCPNet, bound: int, max_states: int):
     graphs = [build_graph(agent, bound) for agent in profile.agents]
     size = 1 << profile.n
     for i, graph in enumerate(graphs):
         tops = sinks(graph)
         if len(tops) != 1:
-            return _report(
-                "lemma7", 0, f"agent {i} has {len(tops)} flip-free outcomes"
-            )
+            return 0, f"agent {i} has {len(tops)} flip-free outcomes"
     optima = [sinks(graph)[0] for graph in graphs]
     closures = [closure(graph) for graph in graphs]
     actual = _pareto_optimum_mask(closures, size)
     shared = optima[0] if all(o == optima[0] for o in optima) else None
     expected = 0 if shared is None else 1 << shared
-    if actual != expected:
-        n = profile.n
-        have = [outcome_str(o, n) for o in range(size) if (actual >> o) & 1]
-        want = [] if shared is None else [outcome_str(shared, n)]
-        return _report(
-            "lemma7",
-            size,
-            f"Pareto optimum set {have} but individual optima give {want}",
-        )
-    return _report("lemma7", size, None)
+    if actual == expected:
+        return size, None
+    n = profile.n
+    have = [outcome_str(o, n) for o in range(size) if (actual >> o) & 1]
+    want = [] if shared is None else [outcome_str(shared, n)]
+    return size, f"Pareto optimum set {have} but individual optima give {want}"
 
 
-def _verify_theorem_nowin(profile: MCPNet, bound: int) -> LemmaReport:
+def _verify_theorem_nowin(profile: MCPNet, bound: int, max_states: int):
     closures = [closure(build_graph(agent, bound)) for agent in profile.agents]
     size = 1 << profile.n
     threshold = profile.m // 2
     n = profile.n
     for alpha in range(size):
-        beaten = False
-        for beta in range(size):
-            if beta == alpha:
-                continue
-            votes = sum(clo.dominates(beta, alpha) for clo in closures)
-            if votes > threshold:
-                beaten = True
-                break
-        if not beaten:
-            return _report(
-                "theorem_nowin",
-                alpha + 1,
-                f"{outcome_str(alpha, n)} is not majority-dominated by anything",
-            )
-    return _report("theorem_nowin", size, None)
+        if not any(
+            sum(clo.dominates(beta, alpha) for clo in closures) > threshold
+            for beta in range(size)
+            if beta != alpha
+        ):
+            detail = f"{outcome_str(alpha, n)} is not majority-dominated by anything"
+            return alpha + 1, detail
+    return size, None
+
+
+# Claim tag -> (the instance kind it takes, "cnf" for a CnfFormula or
+# "profile" for an MCPNet; its check; a builder for the default instance, or
+# None when the instance is required). A check takes (instance, bound,
+# max_states) and returns the cases checked and a failure message or None.
+CLAIMS = {
+    "corollary1": ("cnf", partial(_verify_corollary, formula_net), None),
+    "lemma1": ("cnf", _verify_lemma1, None),
+    "corollary2": ("cnf", partial(_verify_corollary, summarized_formula_net), None),
+    "lemma5": ("cnf", _verify_lemma5, None),
+    "lemma7": ("profile", _verify_lemma7, None),
+    "theorem_nowin": ("profile", _verify_theorem_nowin, m_nowin),
+}
+LEMMA_TAGS = tuple(CLAIMS)
 
 
 def verify_lemma(
@@ -352,27 +329,26 @@ def verify_lemma(
     instance=None,
     *,
     bound: int = ORACLE_BOUND,
-    max_states: int = 1 << 22,
+    max_states: int = VERIFY_MAX_STATES,
 ) -> LemmaReport:
     """Check one of the package's satisfiability-to-preference claims on a
     concrete instance against pure enumeration.
 
     Formula tags take a CnfFormula (corollary1, lemma1, corollary2,
     lemma5); lemma7 takes any acyclic profile; theorem_nowin takes a
-    profile and defaults to the fixed four-agent one.
+    profile and defaults to the fixed four-agent one. Raises ValueError
+    for an unknown tag or a missing required instance.
     """
-    if tag == "corollary1":
-        return _verify_corollary1(instance, bound)
-    if tag == "lemma1":
-        return _verify_lemma1(instance, bound)
-    if tag == "corollary2":
-        return _verify_corollary2(instance, bound)
-    if tag == "lemma5":
-        return _verify_lemma5(instance, max_states)
-    if tag == "lemma7":
-        return _verify_lemma7(instance, bound)
-    if tag == "theorem_nowin":
-        return _verify_theorem_nowin(
-            instance if instance is not None else m_nowin(), bound
+    if tag not in CLAIMS:
+        raise ValueError(
+            f"unknown lemma tag {tag!r}; known tags: {', '.join(LEMMA_TAGS)}"
         )
-    raise ValueError(f"unknown lemma tag {tag!r}; known tags: {', '.join(LEMMA_TAGS)}")
+    kind, check, default = CLAIMS[tag]
+    if instance is None:
+        if default is None:
+            raise ValueError(f"{tag} needs a {kind} instance")
+        instance = default()
+    checked, failure = check(instance, bound, max_states)
+    return LemmaReport(
+        tag=tag, ok=failure is None, checked=checked, detail=failure or "pass"
+    )

@@ -46,6 +46,8 @@ def agent_partition(
     beta: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> AgentPartition:
+    check_outcome(profile, alpha)
+    check_outcome(profile, beta)
     prefers, opposes, neither = set(), set(), set()
     for i, net in enumerate(profile.agents):
         if alpha == beta:
@@ -70,6 +72,8 @@ def pareto_dominates(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
     """True when every agent strictly prefers beta to alpha."""
+    check_outcome(profile, beta)
+    check_outcome(profile, alpha)
     if alpha == beta:
         return False
     return all(
@@ -87,6 +91,8 @@ def majority_dominates(
 
     Stops as soon as the vote is decided either way.
     """
+    check_outcome(profile, beta)
+    check_outcome(profile, alpha)
     if alpha == beta:
         return False
     need = profile.m // 2 + 1
@@ -158,6 +164,7 @@ def is_pareto_optimum(profile: MCPNet, alpha: int) -> bool:
     """alpha Pareto-dominates every other outcome exactly when it is the
     optimum of every agent, since each agent's optimum dominates all
     outcomes in that agent's net and nothing else does."""
+    check_outcome(profile, alpha)
     return all(forward_sweep_optimum(net) == alpha for net in profile.agents)
 
 

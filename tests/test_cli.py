@@ -270,6 +270,26 @@ class TestVotingCommands:
         assert code == 2
         assert "differs from agent 0" in payload["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["majority", "exists-optimum", "{profile}", "--named"],
+            ["pareto", "is-optimum", "{profile}", "00", "--max-states", "5"],
+        ],
+        ids=["named-without-outcome", "budget-without-search"],
+    )
+    def test_flag_the_query_does_not_take_is_exit_2(self, capsys, profile_path, argv):
+        argv = [word.format(profile=profile_path) for word in argv]
+        code, payload = run_json(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in payload["error"]
+
+    def test_named_outcome_on_profile_query(self, capsys, profile_path):
+        code, payload = run_json(
+            capsys, "pareto", "is-optimal", profile_path, "Main=0,Wine=1", "--named"
+        )
+        assert (code, payload["answer"]) == (0, True)
+
     def test_majority_exists_gate(self, capsys, tmp_path):
         wide = random_profile(random.Random(97), 25, 2)
         path = tmp_path / "wide.json"
@@ -423,6 +443,23 @@ class TestOracleCommands:
     def test_verify_missing_cnf(self, capsys):
         code, payload = run_json(capsys, "oracle", "verify", "--lemma", "lemma1")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["no-such-command"],
+        ["dominates", "{net}", "00"],
+        ["dominates", "{net}", "00", "10", "--max-states", "abc"],
+        ["optimum", "{net}", "--witness"],
+    ],
+    ids=["unknown-command", "missing-argument", "bad-int", "foreign-flag"],
+)
+def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):
+    argv = [word.format(net=dinner_path) for word in argv]
+    code, payload = run_json(capsys, *argv)
+    assert code == 2
+    assert payload["error"]
 
 
 def test_module_entry_point(dinner_path):

@@ -176,6 +176,20 @@ class TestVerifyLemma:
         with pytest.raises(ValueError):
             verify_lemma("lemma99")
 
+    @pytest.mark.parametrize(
+        "tag, kind",
+        [
+            ("corollary1", "cnf"),
+            ("lemma1", "cnf"),
+            ("corollary2", "cnf"),
+            ("lemma5", "cnf"),
+            ("lemma7", "profile"),
+        ],
+    )
+    def test_missing_instance_names_its_kind(self, tag, kind):
+        with pytest.raises(ValueError, match=f"{tag} needs a {kind} instance"):
+            verify_lemma(tag)
+
     def test_formula_tags_pass_on_small_family(self):
         for phi in formula_family(2, max_clauses=1):
             for tag in ("corollary1", "lemma1", "corollary2"):

@@ -101,6 +101,16 @@ class TestNoWinProfile:
         for o in range(4):
             assert is_pareto_optimal(nowin_profile, o)
 
+    @pytest.mark.parametrize("outcome", [9, -1])
+    def test_out_of_range_outcomes_are_refused(self, nowin_profile, outcome):
+        # No shortcut (equal outcomes, comparing optima) may answer before
+        # the range check.
+        for query in (pareto_dominates, majority_dominates, agent_partition):
+            with pytest.raises(ValueError, match="out of range"):
+                query(nowin_profile, outcome, outcome)
+        with pytest.raises(ValueError, match="out of range"):
+            is_pareto_optimum(nowin_profile, outcome)
+
 
 class TestParetoGadgetProfiles:
     def test_satisfiable_formula_breaks_optimality(self):
