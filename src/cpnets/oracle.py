@@ -1,9 +1,15 @@
 """Exhaustive reference procedures over explicit preference graphs.
 
-Everything here recomputes improving flips directly from the table rows,
-so the graph is an independent check on the incremental engine in
-semantics.py rather than a restatement of it. Sizes are capped hard:
-these routines materialize all 2**n outcomes.
+Everything here is derived from per-feature flip sets read directly from
+the table rows, so the oracle is an independent check on the incremental
+engine in semantics.py rather than a restatement of it. A flip set is one
+2**n-bit int per feature: bit u is set when flipping that feature improves
+outcome u. Each table row contributes the outcomes that match its parent
+condition and hold the feature at its less preferred value. The explicit
+graph reads its arcs from the flip sets; the pair claims (lemma1 and both
+corollaries) instead sweep whole frontiers of outcomes through them, one
+level per step, and never build a graph or a closure. Sizes are capped
+hard: these routines materialize sets over all 2**n outcomes.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import compress, count, product
+from typing import Iterator
 
 from .errors import CycleError, InstanceTooLarge
 from .gadgets import (
@@ -25,10 +32,16 @@ from .gadgets import (
     m_nowin,
     summarized_formula_net,
 )
-from .model import CPNet, MCPNet, feature_mask, outcome_str
+from .model import CPNet, MCPNet, check_outcome, feature_mask, outcome_str
 
 ORACLE_BOUND = 14
 SAT_BOUND = 24
+
+# One feature's flip set with its bit and its value masks:
+# (own bit, outcomes where the feature is 0, where it is 1, improving flips).
+FlipSet = tuple[int, int, int, int]
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass
@@ -47,28 +60,77 @@ class ExtendedPreferenceGraph:
         return self.net.n
 
 
-def build_graph(net: CPNet, bound: int = ORACLE_BOUND) -> ExtendedPreferenceGraph:
-    """Materialize the improving-flip graph by reading each table row per
-    outcome: a feature flips exactly when its current value differs from
-    the row selected by its parents."""
+def _flip_sets(net: CPNet, bound: int) -> list[FlipSet]:
+    """One FlipSet per feature, in canonical order, read from the table
+    rows: each row ANDs the value masks of its parent condition with the
+    mask where the feature holds its less preferred value, and a feature's
+    rows are OR-ed together."""
     n = net.n
     if n > bound:
         raise InstanceTooLarge(
             f"net has {n} features; the explicit graph is capped at {bound}"
         )
-    per_feature = []
-    for idx, name in enumerate(net.features):
+    size = 1 << n
+    full = (1 << size) - 1
+    values = []
+    for i in range(n):
+        # Outcomes in which feature i is 1: blocks of own zeros then own
+        # ones, doubled until they cover all outcomes.
+        own = feature_mask(n, i)
+        ones, width = ((1 << own) - 1) << own, 2 * own
+        while width < size:
+            ones |= ones << width
+            width *= 2
+        values.append((full ^ ones, ones))
+    sets = []
+    for i, name in enumerate(net.features):
         table = net.tables[name]
-        parent_bits = tuple(net.mask(p) for p in table.parents)
-        per_feature.append((parent_bits, feature_mask(n, idx), table.rows))
-    arcs: list[list[int]] = [[] for _ in range(1 << n)]
-    for outcome in range(1 << n):
-        here = arcs[outcome]
-        for parent_bits, own, rows in per_feature:
-            cond = tuple(1 if outcome & b else 0 for b in parent_bits)
-            if rows[cond] != (1 if outcome & own else 0):
-                here.append(outcome ^ own)
+        parents = [net.index(p) for p in table.parents]
+        flips = 0
+        for cond in product((0, 1), repeat=len(parents)):
+            row = values[i][1 - table.rows[cond]]
+            for p, v in zip(parents, cond):
+                row &= values[p][v]
+            flips |= row
+        sets.append((feature_mask(n, i), *values[i], flips))
+    return sets
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The outcomes in a bitmask, ascending."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+def build_graph(net: CPNet, bound: int = ORACLE_BOUND) -> ExtendedPreferenceGraph:
+    """Materialize the improving-flip graph from the flip sets. Features
+    are walked in canonical order, so each outcome lists its arcs in that
+    order."""
+    arcs: list[list[int]] = [[] for _ in range(1 << net.n)]
+    for own, _, _, flips in _flip_sets(net, bound):
+        for u in _members(flips):
+            arcs[u].append(u ^ own)
     return ExtendedPreferenceGraph(net=net, arcs=arcs)
+
+
+def _sweep(sets: list[FlipSet], start: int, forward: bool) -> int:
+    """Bitmask of the outcomes reachable from start by one or more
+    improving flips (forward), or of those from which start is so reachable
+    (backward). Each step advances the whole frontier: flipping a feature
+    maps a set S to ((S & zero) << own) | ((S & one) >> own), applied to
+    S & flips going forward and AND-ed with flips going backward."""
+    reached = 0
+    frontier = 1 << start
+    while frontier:
+        step = 0
+        for own, zero, one, flips in sets:
+            if forward:
+                s = frontier & flips
+                step |= ((s & zero) << own) | ((s & one) >> own)
+            else:
+                step |= (((frontier & zero) << own) | ((frontier & one) >> own)) & flips
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
 
 
 def sinks(graph: ExtendedPreferenceGraph) -> list[int]:
@@ -104,6 +166,8 @@ class DominanceClosure:
     reach: list[int]
 
     def dominates(self, beta: int, alpha: int) -> bool:
+        check_outcome(self, beta)
+        check_outcome(self, alpha)
         return bool((self.reach[alpha] >> beta) & 1)
 
     def incomparable(self, alpha: int, beta: int) -> bool:
@@ -114,7 +178,9 @@ class DominanceClosure:
 
 def closure(graph: ExtendedPreferenceGraph) -> DominanceClosure:
     """Transitive reachability by topological order: process outcomes from
-    best to worst and take the union of each successor's closure."""
+    best to worst, OR each successor's reflexive row into a reflexive row,
+    and clear the self bits at the end. Kahn's order doubles as the cycle
+    check."""
     size = 1 << graph.n
     indegree = [0] * size
     for u in range(size):
@@ -133,10 +199,12 @@ def closure(graph: ExtendedPreferenceGraph) -> DominanceClosure:
         raise CycleError("improving flips cycle; closure needs an acyclic graph")
     reach = [0] * size
     for u in reversed(order):
-        acc = 0
+        acc = 1 << u
         for v in graph.arcs[u]:
-            acc |= reach[v] | (1 << v)
+            acc |= reach[v]
         reach[u] = acc
+    for u in range(size):
+        reach[u] ^= 1 << u
     return DominanceClosure(n=graph.n, reach=reach)
 
 
@@ -207,42 +275,51 @@ class LemmaReport:
 
 
 def _check_pair_equivalence(
-    clo: DominanceClosure, beta: int, alpha: int, expected: bool, n: int
+    above: int, below: int, beta: int, alpha: int, expected: bool, n: int
 ) -> str | None:
     """The shared shape of the formula-net claims: beta dominates alpha
     exactly under `expected`, and alpha never dominates beta (so the
-    negative case is incomparability, not reverse dominance)."""
-    if clo.dominates(beta, alpha) != expected:
+    negative case is incomparability, not reverse dominance). above and
+    below are beta's forward and backward sweeps: the outcomes that
+    dominate beta and those that beta dominates."""
+    if bool((below >> alpha) & 1) != expected:
         verb = "should dominate" if expected else "should not dominate"
         return (
             f"{outcome_str(beta, n)} {verb} {outcome_str(alpha, n)}"
         )
-    if clo.dominates(alpha, beta):
+    if (above >> alpha) & 1:
         return (
             f"{outcome_str(alpha, n)} unexpectedly dominates {outcome_str(beta, n)}"
         )
     return None
 
 
+def _sweeps(net: CPNet, beta: int, bound: int) -> tuple[int, int]:
+    sets = _flip_sets(net, bound)
+    return _sweep(sets, beta, True), _sweep(sets, beta, False)
+
+
 def _verify_corollary(build, phi: CnfFormula, bound: int, max_states: int):
     """beta_bar dominates alpha in build(phi) exactly when phi is satisfiable."""
     built = build(phi)
-    clo = closure(build_graph(built.net, bound))
+    beta = built.beta_bar()
+    above, below = _sweeps(built.net, beta, bound)
     return 1, _check_pair_equivalence(
-        clo, built.beta_bar(), built.alpha(), sat_enumerate(phi), built.net.n
+        above, below, beta, built.alpha(), sat_enumerate(phi), built.net.n
     )
 
 
 def _verify_lemma1(phi: CnfFormula, bound: int, max_states: int):
     built = formula_net(phi)
-    clo = closure(build_graph(built.net, bound))
     beta = built.beta_bar()
+    above, below = _sweeps(built.net, beta, bound)
     checked = 0
     for choice in product((None, True, False), repeat=phi.num_vars):
         sigma = {v: val for v, val in enumerate(choice, start=1) if val is not None}
         checked += 1
         failure = _check_pair_equivalence(
-            clo, beta, built.alpha(sigma), sat_enumerate(phi, sigma), built.net.n
+            above, below, beta, built.alpha(sigma), sat_enumerate(phi, sigma),
+            built.net.n,
         )
         if failure:
             return checked, f"sigma={sigma}: {failure}"
@@ -322,6 +399,7 @@ CLAIMS = {
     "theorem_nowin": ("profile", _verify_theorem_nowin, m_nowin),
 }
 LEMMA_TAGS = tuple(CLAIMS)
+_INSTANCE_TYPES = {"cnf": CnfFormula, "profile": MCPNet}
 
 
 def verify_lemma(
@@ -337,17 +415,17 @@ def verify_lemma(
     Formula tags take a CnfFormula (corollary1, lemma1, corollary2,
     lemma5); lemma7 takes any acyclic profile; theorem_nowin takes a
     profile and defaults to the fixed four-agent one. Raises ValueError
-    for an unknown tag or a missing required instance.
+    for an unknown tag or an instance that is missing or of the wrong kind.
     """
     if tag not in CLAIMS:
         raise ValueError(
             f"unknown lemma tag {tag!r}; known tags: {', '.join(LEMMA_TAGS)}"
         )
     kind, check, default = CLAIMS[tag]
-    if instance is None:
-        if default is None:
-            raise ValueError(f"{tag} needs a {kind} instance")
+    if instance is None and default is not None:
         instance = default()
+    if not isinstance(instance, _INSTANCE_TYPES[kind]):
+        raise ValueError(f"{tag} needs a {kind} instance")
     checked, failure = check(instance, bound, max_states)
     return LemmaReport(
         tag=tag, ok=failure is None, checked=checked, detail=failure or "pass"

@@ -1,22 +1,31 @@
+import ast
+import inspect
 import random
 
 import pytest
 
+import cpnets.oracle
 from cpnets import (
+    LEMMA_TAGS,
     CnfFormula,
     InstanceTooLarge,
     Qbf2Formula,
     build_graph,
     closure,
     dominates,
+    formula_net,
     forward_sweep_optimum,
+    improving_flips,
+    m_nowin,
     qbf2_enumerate,
     reach_set,
     sat_enumerate,
     sinks,
+    summarized_formula_net,
     to_dot,
     verify_lemma,
 )
+from cpnets.oracle import _flip_sets, _sweep
 from helpers import formula_family, random_formula, random_net, random_profile
 
 
@@ -36,6 +45,14 @@ class TestGraph:
         net = random_net(random.Random(1), 5)
         with pytest.raises(InstanceTooLarge):
             build_graph(net, bound=4)
+
+    def test_arcs_are_the_engine_flips(self):
+        rng = random.Random(23)
+        for k in range(40):
+            net = random_net(rng, rng.randint(1, 10), shuffle=bool(k % 2))
+            graph = build_graph(net)
+            for u in range(1 << net.n):
+                assert graph.arcs[u] == [v for _, v in improving_flips(net, u)]
 
     def test_dot_output(self, dinner_net):
         text = to_dot(build_graph(dinner_net))
@@ -85,6 +102,73 @@ class TestClosure:
         assert not clo.incomparable(0b00, 0b10)
         with pytest.raises(ValueError):
             clo.incomparable(1, 1)
+
+    @pytest.mark.parametrize("beta, alpha", [(9, 0), (0, 9), (9, 9), (-1, 0), (0, -1)])
+    def test_out_of_range_outcomes_are_refused(self, beta, alpha):
+        clo = closure(build_graph(m_nowin().agents[0]))
+        with pytest.raises(ValueError, match="out of range"):
+            clo.dominates(beta, alpha)
+
+
+class TestSweeps:
+    """The forward sweep from an outcome is its closure row; the backward
+    sweep is its closure column."""
+
+    def check(self, net, starts):
+        sets = _flip_sets(net, net.n)
+        reach = closure(build_graph(net)).reach
+        for start in starts:
+            column = sum(1 << a for a, row in enumerate(reach) if (row >> start) & 1)
+            assert _sweep(sets, start, True) == reach[start]
+            assert _sweep(sets, start, False) == column
+
+    def test_random_nets(self):
+        rng = random.Random(29)
+        for k in range(30):
+            net = random_net(rng, rng.randint(1, 7), shuffle=bool(k % 2))
+            self.check(net, range(1 << net.n))
+
+    def test_formula_gadgets(self):
+        rng = random.Random(31)
+        for phi in (
+            CnfFormula(2, ((1, -2), (2,))),
+            CnfFormula(2, ((1,), (-1,))),
+            CnfFormula(3, ((1, 2, -3),)),
+        ):
+            for built in (formula_net(phi), summarized_formula_net(phi)):
+                starts = {built.beta_bar(), built.alpha(), built.alpha({1: True})}
+                starts.update(rng.sample(range(1 << built.net.n), 20))
+                self.check(built.net, starts)
+
+    def test_bound(self):
+        net = random_net(random.Random(3), 5)
+        with pytest.raises(InstanceTooLarge):
+            _flip_sets(net, 4)
+
+
+def test_oracle_is_independent_of_the_engine():
+    """The oracle checks the engine, so apart from lemma5, which runs the
+    engine's Pareto query on purpose, it neither imports nor names the
+    engine modules and never reads a net's compiled flip rules."""
+    tree = ast.parse(inspect.getsource(cpnets.oracle))
+    engine = {"semantics", "voting"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("rules", "worsening_rules"), node.lineno
+        if isinstance(node, ast.Name):
+            assert node.id not in engine, node.lineno
+    allowed = {"_verify_lemma5": {"voting"}}
+    for stmt in tree.body:
+        name = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom):
+                named = {(node.module or "").rpartition(".")[2]}
+                named |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                named = {alias.name.rpartition(".")[2] for alias in node.names}
+            else:
+                continue
+            assert not named & (engine - allowed.get(name, set())), (name, node.lineno)
 
 
 class TestSatEnumerate:
@@ -189,6 +273,13 @@ class TestVerifyLemma:
     def test_missing_instance_names_its_kind(self, tag, kind):
         with pytest.raises(ValueError, match=f"{tag} needs a {kind} instance"):
             verify_lemma(tag)
+
+    @pytest.mark.parametrize("tag", LEMMA_TAGS)
+    def test_wrong_kind_is_refused(self, tag):
+        kind = cpnets.oracle.CLAIMS[tag][0]
+        wrong = m_nowin() if kind == "cnf" else CnfFormula(1, ((1,),))
+        with pytest.raises(ValueError, match=f"{tag} needs a {kind} instance"):
+            verify_lemma(tag, wrong)
 
     def test_formula_tags_pass_on_small_family(self):
         for phi in formula_family(2, max_clauses=1):
