@@ -9,6 +9,7 @@ instance exceeds a size gate or a search exceeds its state budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import time
 
@@ -358,7 +359,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args leaves the parser unchanged."""
     parser = _Parser(
         prog="cpnets",
         description="Preference reasoning over conditional preference nets.",

@@ -88,6 +88,49 @@ class CPNet:
         return {(p, t.feature) for t in self.tables.values() for p in t.parents}
 
     @cached_property
+    def topo_order(self) -> tuple[int, ...]:
+        """Parents-first feature indices, ties broken by canonical index.
+
+        Raises CycleError on a dependency cycle; a parent that is not a
+        feature never becomes ready, so it reads as one too.
+        """
+        children: list[list[int]] = [[] for _ in self.features]
+        pending = []
+        for j, name in enumerate(self.features):
+            table = self.tables.get(name)
+            parents = table.parents if table else ()
+            pending.append(len(parents))
+            for p in parents:
+                if p in self._index:
+                    children[self._index[p]].append(j)
+        ready = [j for j, k in enumerate(pending) if k == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            j = heapq.heappop(ready)
+            order.append(j)
+            for child in children[j]:
+                pending[child] -= 1
+                if pending[child] == 0:
+                    heapq.heappush(ready, child)
+        if len(order) != self.n:
+            stuck = sorted(
+                name for name, k in zip(self.features, pending) if k > 0
+            )
+            raise CycleError(f"dependency cycle through features {stuck}")
+        return tuple(order)
+
+    @cached_property
+    def ancestors(self) -> tuple[int, ...]:
+        """Per feature, in canonical order, the bits of all its ancestors."""
+        anc = [0] * self.n
+        for j in self.topo_order:
+            for p in self.tables[self.features[j]].parents:
+                i = self._index[p]
+                anc[j] |= anc[i] | feature_mask(self.n, i)
+        return tuple(anc)
+
+    @cached_property
     def rules(self) -> tuple[FlipRule, ...]:
         """Per-feature flip tests, in canonical feature order.
 
@@ -267,29 +310,7 @@ def validate_net(net: CPNet) -> list[str]:
 
 def topological_order(net: CPNet) -> list[str]:
     """Parents-first feature order, ties broken by canonical index."""
-    children: dict[str, list[str]] = {name: [] for name in net.features}
-    pending = {}
-    for name in net.features:
-        table = net.tables.get(name)
-        parents = table.parents if table else ()
-        pending[name] = len(parents)
-        for p in parents:
-            if p in children:
-                children[p].append(name)
-    ready = [net.index(name) for name, k in pending.items() if k == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        name = net.features[heapq.heappop(ready)]
-        order.append(name)
-        for child in children[name]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                heapq.heappush(ready, net.index(child))
-    if len(order) != net.n:
-        stuck = sorted(name for name, k in pending.items() if k > 0)
-        raise CycleError(f"dependency cycle through features {stuck}")
-    return order
+    return [net.features[j] for j in net.topo_order]
 
 
 def indegree(net: CPNet) -> int:

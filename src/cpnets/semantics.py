@@ -5,6 +5,12 @@ The search runs breadth first from the dominated outcome over the implicit
 flip graph, so a returned witness always has the fewest possible steps. The
 relation induced on outcomes is a strict partial order; equal outcomes never
 dominate each other.
+
+The dominance search is pruned twice, soundly: it flips only the features
+where the two outcomes differ and their ancestors, and it does not expand
+a state that the ordering test proves cannot reach the target. Pruned
+states lie on no shortest path, so witnesses are exactly those of the
+unpruned search; only the visited count shrinks.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import StateBudgetExceeded
-from .model import CPNet, FlipRule, check_outcome, topological_order
+from .model import CPNet, FlipRule, check_outcome
 
 DEFAULT_MAX_STATES = 1 << 24
 
@@ -73,11 +79,43 @@ def forward_sweep_optimum(net: CPNet) -> int:
     already chosen parent values.
     """
     out = 0
-    for name in topological_order(net):
-        relevant, own, triggers = net.rules[net.index(name)]
+    rules = net.rules
+    for j in net.topo_order:
+        relevant, own, triggers = rules[j]
         if out & relevant in triggers:
             out |= own
     return out
+
+
+def movable(net: CPNet, alpha: int) -> int:
+    """The bits of the features some improving path from alpha may flip.
+
+    A feature can flip only if flipping it improves alpha or one of its
+    parents can flip first, so one parents-first pass finds a superset.
+    """
+    out = 0
+    rules = net.rules
+    for j in net.topo_order:
+        relevant, own, triggers = rules[j]
+        if alpha & relevant in triggers or out & relevant:
+            out |= own
+    return out
+
+
+def relevant_rules(net: CPNet, keep: int) -> list[tuple[int, FlipRule]]:
+    """(index, rule) for the features in keep and their ancestors, in
+    canonical order.
+
+    Projecting an improving path onto an ancestor-closed feature set keeps
+    every step improving, so a path between outcomes that differ only
+    inside keep never needs the other features' flips.
+    """
+    rules = net.rules
+    wanted = keep
+    for (_, own, _), anc in zip(rules, net.ancestors):
+        if keep & own:
+            wanted |= anc
+    return [(j, rule) for j, rule in enumerate(rules) if rule[1] & wanted]
 
 
 def reach_set(
@@ -128,29 +166,51 @@ def dominates(
     Breadth-first search from alpha; the witness, when one exists, is a
     shortest flip sequence, with frontier ties broken by canonical feature
     index. dominates(net, x, x) is False: the order is strict.
+
+    Only the features where alpha and beta differ and their ancestors are
+    flipped. A state s is not expanded when the ordering test refutes it
+    (Boutilier et al., JAIR 2004): some feature differs between s and beta
+    while all of its ancestors agree, and s holds its preferred value, so
+    beta cannot be reached from s. visited counts the outcomes the pruned
+    search discovered.
     """
     check_outcome(net, alpha)
     check_outcome(net, beta)
     if alpha == beta:
         return DominanceAnswer(False, None, 1)
-    rules = net.rules
+    anc = net.ancestors
+    cut = relevant_rules(net, alpha ^ beta)
+    rules = [(j, relevant, own, triggers) for j, (relevant, own, triggers) in cut]
+    # A feature differs while all its ancestors agree exactly when the
+    # difference, masked to the feature and its ancestors, is its own bit.
+    tests = [
+        (own | anc[j], own, relevant, triggers)
+        for j, (relevant, own, triggers) in cut
+    ]
     prev: dict[int, tuple[int, int] | None] = {alpha: None}
     queue = deque((alpha,))
     while queue:
         o = queue.popleft()
-        for j, (relevant, own, triggers) in enumerate(rules):
-            if o & relevant in triggers:
-                s = o ^ own
-                if s in prev:
-                    continue
-                prev[s] = (o, j)
-                if s == beta:
-                    return DominanceAnswer(
-                        True, _assemble_witness(net, prev, alpha, beta), len(prev)
-                    )
-                if len(prev) > max_states:
-                    raise StateBudgetExceeded(len(prev), max_states)
-                queue.append(s)
+        d = o ^ beta
+        for span, own, relevant, triggers in tests:
+            if d & span == own and o & relevant not in triggers:
+                break
+        else:
+            for j, relevant, own, triggers in rules:
+                if o & relevant in triggers:
+                    s = o ^ own
+                    if s in prev:
+                        continue
+                    prev[s] = (o, j)
+                    if s == beta:
+                        return DominanceAnswer(
+                            True,
+                            _assemble_witness(net, prev, alpha, beta),
+                            len(prev),
+                        )
+                    if len(prev) > max_states:
+                        raise StateBudgetExceeded(len(prev), max_states)
+                    queue.append(s)
     return DominanceAnswer(False, None, len(prev))
 
 

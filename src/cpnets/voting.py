@@ -22,7 +22,9 @@ from .semantics import (
     DEFAULT_MAX_STATES,
     dominates,
     forward_sweep_optimum,
+    movable,
     reach_set,
+    relevant_rules,
     reverse_reach_set,
 )
 
@@ -123,15 +125,25 @@ def is_pareto_optimal(
 
     A Pareto dominator is exactly an outcome flip-reachable from alpha in
     every agent's net, so this runs one reachability search per agent and
-    asks whether the intersection holds anything besides alpha. The
-    searches are interleaved level by level and stop at the first outcome
-    seen by all agents, which keeps satisfiable gadget profiles from
-    expanding the full product space. Each per-agent search honors
-    max_states.
+    asks whether the intersection holds anything besides alpha. A
+    dominator differs from alpha only on features every agent can move
+    (semantics.movable): when no feature is movable for all, alpha is
+    optimal without a search; otherwise each agent flips only those
+    features and their ancestors in its own net. The searches are
+    interleaved level by level and stop at the first outcome seen by all
+    agents, which keeps satisfiable gadget profiles from expanding the
+    full product space. Each per-agent search honors max_states.
     """
     agents = profile.agents
     check_outcome(profile, alpha)
-    rules = [net.rules for net in agents]
+    common = -1
+    for net in agents:
+        common &= movable(net, alpha)
+        if not common:
+            return True
+    rules = [
+        [rule for _, rule in relevant_rules(net, common)] for net in agents
+    ]
     seen: list[set[int]] = [{alpha} for _ in agents]
     frontier: list[list[int]] = [[alpha] for _ in agents]
     while any(frontier):

@@ -1,8 +1,17 @@
 """Shared generators for randomized and exhaustive test inputs."""
 
+from collections import deque
 from itertools import combinations
 
-from cpnets import CPTable, CnfFormula, MCPNet, build_graph, closure, net_from_tables
+from cpnets import (
+    CPTable,
+    CnfFormula,
+    FlipSequence,
+    MCPNet,
+    build_graph,
+    closure,
+    net_from_tables,
+)
 
 
 def random_net(rng, n, names=None, shuffle=False):
@@ -55,6 +64,35 @@ def majority_dominators(profile):
                 mask |= 1 << beta
         rows.append(mask)
     return rows
+
+
+def reference_witnesses(net, graph, alpha):
+    """Plain breadth-first search over the oracle graph's arcs from alpha,
+    with no pruning: {beta: shortest witness} for every outcome alpha
+    reaches. Arcs come in canonical feature order, so ties break as in
+    the engine's search."""
+    prev = {alpha: None}
+    queue = deque((alpha,))
+    while queue:
+        o = queue.popleft()
+        for s in graph.arcs[o]:
+            if s not in prev:
+                prev[s] = o
+                queue.append(s)
+    found = {}
+    for beta in prev:
+        if beta == alpha:
+            continue
+        steps = []
+        o = beta
+        while o != alpha:
+            before = prev[o]
+            j = net.n - (before ^ o).bit_length()
+            v = (before >> (net.n - 1 - j)) & 1
+            steps.append((net.features[j], v, 1 - v))
+            o = before
+        found[beta] = FlipSequence(alpha, beta, tuple(reversed(steps)))
+    return found
 
 
 def clause_pool(num_vars):

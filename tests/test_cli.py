@@ -1,15 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cpnets
 from cpnets import (
     CnfFormula,
     forward_sweep_optimum,
@@ -460,6 +463,31 @@ def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):
     code, payload = run_json(capsys, *argv)
     assert code == 2
     assert payload["error"]
+
+
+def test_cached_parser_answers_like_a_fresh_process(
+    capsys, dinner_path, profile_path
+):
+    """The parser is built once per process. A usage error on it must not
+    change how later calls parse: each answer equals a new process's."""
+    calls = [
+        ["dominates", dinner_path, "00"],
+        ["incomparable", dinner_path, "01", "10", "--max-states", "9"],
+        ["pareto", "is-optimal", profile_path, "01"],
+        ["majority", "dominates", profile_path, "00", "10"],
+        ["pareto", "exists-optimum", profile_path],
+        ["optimum", dinner_path],
+    ]
+    run(capsys, "pareto", "exists-optimum", profile_path, "--named")
+    env = {**os.environ, "PYTHONPATH": str(Path(cpnets.__file__).parents[1])}
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cpnets", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout)
 
 
 def test_module_entry_point(dinner_path):

@@ -167,6 +167,35 @@ class TestTopologicalOrder:
                 for p in net.parents(name):
                     assert pos[p] < pos[name]
 
+    def test_order_is_cached_indices(self):
+        net = make_net({
+            "Child": (("Root",), {(0,): 0, (1,): 1}),
+            "Root": ((), {(): 0}),
+        })
+        assert net.topo_order == (1, 0)
+        assert net.topo_order is net.topo_order
+
+    def test_ancestor_masks(self):
+        # Chain A -> B -> C plus a free D: C's ancestors are A and B.
+        net = make_net({
+            "A": ((), {(): 0}),
+            "B": (("A",), {(0,): 0, (1,): 1}),
+            "C": (("B",), {(0,): 0, (1,): 1}),
+            "D": ((), {(): 1}),
+        })
+        assert net.ancestors == (0, net.mask("A"), net.mask("A", "B"), 0)
+        rng = random.Random(13)
+        for _ in range(30):
+            net = random_net(rng, rng.randint(1, 10), shuffle=True)
+            for j, name in enumerate(net.features):
+                above, todo = set(), list(net.parents(name))
+                while todo:
+                    p = todo.pop()
+                    if p not in above:
+                        above.add(p)
+                        todo.extend(net.parents(p))
+                assert net.ancestors[j] == net.mask(*above)
+
 
 class TestOutcomes:
     def test_parse_and_format_roundtrip(self):

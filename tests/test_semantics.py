@@ -20,8 +20,8 @@ from cpnets import (
     reach_set,
     replay,
 )
-from cpnets.semantics import reverse_reach_set
-from helpers import random_net
+from cpnets.semantics import movable, reverse_reach_set
+from helpers import random_net, reference_witnesses
 
 
 def two_independent_ones():
@@ -137,6 +137,61 @@ class TestDominance:
         net = two_independent_ones()
         assert ordering_query(net, 0b01, 0b10)
         assert ordering_query(net, 0b10, 0b01)
+
+
+class TestPrunedSearch:
+    def test_ordering_test_needs_all_ancestors(self):
+        """Chain X1 -> X0 -> X2. X2 differs between 110 and 101 while its
+        parent X0 agrees and 110 holds X2's preferred value, yet 101
+        dominates 110 by flipping X0 away and back: a test that looked at
+        parents only would refute this pair."""
+        net = CPNet(
+            features=("X0", "X1", "X2"),
+            tables={
+                "X1": CPTable("X1", (), {(): 0}),
+                "X0": CPTable("X0", ("X1",), {(0,): 1, (1,): 0}),
+                "X2": CPTable("X2", ("X0",), {(0,): 1, (1,): 0}),
+            },
+        )
+        ans = dominates(net, 0b101, 0b110)
+        assert ans.holds
+        assert ans.witness.steps == (
+            ("X0", 1, 0), ("X1", 1, 0), ("X2", 0, 1), ("X0", 0, 1),
+        )
+        assert replay(net, ans.witness)
+        assert not dominates(net, 0b110, 0b101).holds
+
+    def test_answers_and_witnesses_match_unpruned_search(self):
+        """Every ordered pair of random nets, parents drawn along shuffled
+        orders: answers agree with the oracle closure and witnesses with a
+        plain breadth-first search over the oracle's arcs."""
+        rng = random.Random(37)
+        for n in (1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8):
+            net = random_net(rng, n, shuffle=True)
+            graph = build_graph(net)
+            clo = closure(graph)
+            for alpha in range(1 << n):
+                witnesses = reference_witnesses(net, graph, alpha)
+                for beta in range(1 << n):
+                    ans = dominates(net, beta, alpha)
+                    assert ans.holds == clo.dominates(beta, alpha)
+                    assert ans.witness == witnesses.get(beta)
+
+    def test_refuted_start_visits_one_state(self, dinner_net):
+        # Main differs and has no ancestors, and 01 already holds meat, so
+        # the search ends before expanding 01's improving flip to 00.
+        ans = dominates(dinner_net, FW, MW)
+        assert not ans.holds and ans.visited == 1
+
+    def test_movable_covers_every_reached_flip(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            net = random_net(rng, rng.randint(1, 7), shuffle=True)
+            for alpha in range(1 << net.n):
+                flipped = 0
+                for s in reach_set(net, alpha):
+                    flipped |= s ^ alpha
+                assert flipped & ~movable(net, alpha) == 0
 
 
 class TestReplay:

@@ -9,6 +9,8 @@ from cpnets import (
     MCPNet,
     StateBudgetExceeded,
     agent_partition,
+    build_graph,
+    closure,
     dominates,
     exists_majority_optimal,
     exists_majority_optimum,
@@ -139,6 +141,21 @@ class TestDefinitions:
                     for beta in range(size)
                 )
                 assert is_pareto_optimal(profile, alpha) == expected
+
+    def test_pareto_optimal_matches_closure_intersection(self):
+        """Shuffled orders, so agents need not share a topological order
+        and the movable-feature cut differs from agent to agent."""
+        rng = random.Random(73)
+        for _ in range(40):
+            profile = random_profile(
+                rng, rng.randint(1, 7), rng.randint(2, 5), shuffle=True
+            )
+            closures = [closure(build_graph(net)) for net in profile.agents]
+            for alpha in range(1 << profile.n):
+                common = -1
+                for clo in closures:
+                    common &= clo.reach[alpha]
+                assert is_pareto_optimal(profile, alpha) == (common == 0)
 
     def test_majority_dominates_matches_vote_count(self):
         rng = random.Random(47)
