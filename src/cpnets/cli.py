@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import sys
 import time
 
 from . import gadgets, oracle, semantics, voting
@@ -457,14 +459,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload = args.handler(args)
+        text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+        code = 0
     except (StateBudgetExceeded, InstanceTooLarge) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 3
+        text, code = json.dumps({"error": str(exc)}), 3
     except (ValueError, CycleError, OSError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
-    if isinstance(payload, str):
-        print(payload)
-    else:
-        print(json.dumps(payload, indent=2))
-    return 0
+        text, code = json.dumps({"error": str(exc)}), 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. The unwritten
+        # text stays buffered, so point stdout at devnull, or the flush at
+        # interpreter shutdown fails again and exits 120.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code

@@ -6,6 +6,9 @@ flip graph, so a returned witness always has the fewest possible steps. The
 relation induced on outcomes is a strict partial order; equal outcomes never
 dominate each other.
 
+Every flip search (dominance, the reach sets and voting's Pareto search)
+steps one level at a time through expand, which alone enforces max_states.
+
 The dominance search is pruned twice, soundly: it flips only the features
 where the two outcomes differ and their ancestors, and it does not expand
 a state that the ordering test proves cannot reach the target. Pruned
@@ -15,7 +18,6 @@ unpruned search; only the visited count shrinks.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import StateBudgetExceeded
@@ -118,6 +120,39 @@ def relevant_rules(net: CPNet, keep: int) -> list[tuple[int, FlipRule]]:
     return [(j, rule) for j, rule in enumerate(rules) if rule[1] & wanted]
 
 
+def expand(
+    rules, frontier, prev: dict[int, int], max_states, target=-1, refute=(), goal=()
+) -> list[int] | None:
+    """One breadth-first level: the only flip-search loop.
+
+    Expands frontier in order, each state by rules in canonical order, and
+    maps each new state to its predecessor in prev (a search starts from
+    prev = {start: start}). Returns the new states in discovery order, or
+    None as soon as one is target or lies in every map of goal. Skips a
+    frontier state that an ordering test in refute matches against target.
+    Raises StateBudgetExceeded once prev holds more than max_states states.
+    """
+    fresh = []
+    for o in frontier:
+        d = o ^ target
+        for span, own, relevant, triggers in refute:
+            if d & span == own and o & relevant not in triggers:
+                break
+        else:
+            for relevant, own, triggers in rules:
+                if o & relevant in triggers:
+                    s = o ^ own
+                    if s in prev:
+                        continue
+                    prev[s] = o
+                    if s == target or goal and all(s in g for g in goal):
+                        return None
+                    if len(prev) > max_states:
+                        raise StateBudgetExceeded(len(prev), max_states)
+                    fresh.append(s)
+    return fresh
+
+
 def reach_set(
     net: CPNet, alpha: int, max_states: int = DEFAULT_MAX_STATES
 ) -> set[int]:
@@ -140,19 +175,10 @@ def reverse_reach_set(
 
 
 def _search(rules, alpha: int, max_states: int) -> set[int]:
-    seen = {alpha}
-    queue = deque((alpha,))
-    while queue:
-        o = queue.popleft()
-        for relevant, own, triggers in rules:
-            if o & relevant in triggers:
-                s = o ^ own
-                if s not in seen:
-                    seen.add(s)
-                    if len(seen) > max_states:
-                        raise StateBudgetExceeded(len(seen), max_states)
-                    queue.append(s)
-    return seen
+    prev, frontier = {alpha: alpha}, [alpha]
+    while frontier:
+        frontier = expand(rules, frontier, prev, max_states)
+    return set(prev)
 
 
 def dominates(
@@ -180,54 +206,31 @@ def dominates(
         return DominanceAnswer(False, None, 1)
     anc = net.ancestors
     cut = relevant_rules(net, alpha ^ beta)
-    rules = [(j, relevant, own, triggers) for j, (relevant, own, triggers) in cut]
     # A feature differs while all its ancestors agree exactly when the
     # difference, masked to the feature and its ancestors, is its own bit.
     tests = [
         (own | anc[j], own, relevant, triggers)
         for j, (relevant, own, triggers) in cut
     ]
-    prev: dict[int, tuple[int, int] | None] = {alpha: None}
-    queue = deque((alpha,))
-    while queue:
-        o = queue.popleft()
-        d = o ^ beta
-        for span, own, relevant, triggers in tests:
-            if d & span == own and o & relevant not in triggers:
-                break
-        else:
-            for j, relevant, own, triggers in rules:
-                if o & relevant in triggers:
-                    s = o ^ own
-                    if s in prev:
-                        continue
-                    prev[s] = (o, j)
-                    if s == beta:
-                        return DominanceAnswer(
-                            True,
-                            _assemble_witness(net, prev, alpha, beta),
-                            len(prev),
-                        )
-                    if len(prev) > max_states:
-                        raise StateBudgetExceeded(len(prev), max_states)
-                    queue.append(s)
-    return DominanceAnswer(False, None, len(prev))
+    rules = [rule for _, rule in cut]
+    prev, frontier = {alpha: alpha}, [alpha]
+    while frontier:
+        frontier = expand(rules, frontier, prev, max_states, beta, tests)
+    holds = frontier is None
+    witness = _assemble_witness(net, prev, alpha, beta) if holds else None
+    return DominanceAnswer(holds, witness, len(prev))
 
 
 def _assemble_witness(
-    net: CPNet,
-    prev: dict[int, tuple[int, int] | None],
-    alpha: int,
-    beta: int,
+    net: CPNet, prev: dict[int, int], alpha: int, beta: int
 ) -> FlipSequence:
     steps = []
     o = beta
     while o != alpha:
-        back = prev[o]
-        assert back is not None
-        before, j = back
-        v = 1 if before & net.rules[j][1] else 0
-        steps.append((net.features[j], v, 1 - v))
+        before = prev[o]
+        own = before ^ o
+        v = 1 if before & own else 0
+        steps.append((net.features[net.n - own.bit_length()], v, 1 - v))
         o = before
     steps.reverse()
     return FlipSequence(start=alpha, end=beta, steps=tuple(steps))

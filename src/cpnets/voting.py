@@ -16,11 +16,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge, StateBudgetExceeded
+from .errors import InstanceTooLarge
 from .model import CPNet, MCPNet, check_outcome
 from .semantics import (
     DEFAULT_MAX_STATES,
     dominates,
+    expand,
     forward_sweep_optimum,
     movable,
     reach_set,
@@ -74,13 +75,7 @@ def pareto_dominates(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
     """True when every agent strictly prefers beta to alpha."""
-    check_outcome(profile, beta)
-    check_outcome(profile, alpha)
-    if alpha == beta:
-        return False
-    return all(
-        dominates(net, beta, alpha, max_states).holds for net in profile.agents
-    )
+    return _vote(profile, beta, alpha, max_states, profile.m)
 
 
 def majority_dominates(
@@ -93,22 +88,25 @@ def majority_dominates(
 
     Stops as soon as the vote is decided either way.
     """
+    return _vote(profile, beta, alpha, max_states, profile.m // 2 + 1)
+
+
+def _vote(
+    profile: MCPNet, beta: int, alpha: int, max_states: int, need: int
+) -> bool:
+    """At least need agents strictly prefer beta to alpha. Asks them in
+    order and stops once the count is decided."""
     check_outcome(profile, beta)
     check_outcome(profile, alpha)
     if alpha == beta:
         return False
-    need = profile.m // 2 + 1
-    votes = 0
-    remaining = profile.m
+    votes, left = 0, profile.m
     for net in profile.agents:
-        if dominates(net, beta, alpha, max_states).holds:
-            votes += 1
-            if votes >= need:
-                return True
-        remaining -= 1
-        if votes + remaining < need:
-            return False
-    return False
+        if votes >= need or votes + left < need:
+            break
+        votes += dominates(net, beta, alpha, max_states).holds
+        left -= 1
+    return votes >= need
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +128,11 @@ def is_pareto_optimal(
     (semantics.movable): when no feature is movable for all, alpha is
     optimal without a search; otherwise each agent flips only those
     features and their ancestors in its own net. The searches are
-    interleaved level by level and stop at the first outcome seen by all
-    agents, which keeps satisfiable gadget profiles from expanding the
-    full product space. Each per-agent search honors max_states.
+    interleaved one semantics.expand level per agent in turn, with every
+    agent's predecessor map as the goal, and stop at the first outcome
+    reached by all agents, which keeps satisfiable gadget profiles from
+    expanding the full product space. Each per-agent search honors
+    max_states.
     """
     agents = profile.agents
     check_outcome(profile, alpha)
@@ -144,25 +144,12 @@ def is_pareto_optimal(
     rules = [
         [rule for _, rule in relevant_rules(net, common)] for net in agents
     ]
-    seen: list[set[int]] = [{alpha} for _ in agents]
-    frontier: list[list[int]] = [[alpha] for _ in agents]
-    while any(frontier):
-        for i in range(len(agents)):
-            fresh: list[int] = []
-            mine = seen[i]
-            for state in frontier[i]:
-                for relevant, own, triggers in rules[i]:
-                    if state & relevant in triggers:
-                        nxt = state ^ own
-                        if nxt in mine:
-                            continue
-                        mine.add(nxt)
-                        if len(mine) > max_states:
-                            raise StateBudgetExceeded(len(mine), max_states)
-                        fresh.append(nxt)
-                        if all(nxt in s for s in seen):
-                            return False
-            frontier[i] = fresh
+    prevs, frontiers = [{alpha: alpha} for _ in agents], [[alpha] for _ in agents]
+    while any(frontiers):
+        for i, cut in enumerate(rules):
+            frontiers[i] = expand(cut, frontiers[i], prevs[i], max_states, goal=prevs)
+            if frontiers[i] is None:
+                return False
     return True
 
 

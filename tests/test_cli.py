@@ -500,6 +500,35 @@ def test_module_entry_point(dinner_path):
     assert json.loads(proc.stdout) == {"answer": "00"}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["00", "10", "--witness"], 0),
+        (["00", "11", "--max-states", "1"], 3),
+        (["000", "10"], 2),
+    ],
+)
+def test_closed_stdout_exits_quietly(dinner_path, argv, code):
+    """A reader that leaves early, as in `cpnets ... | head`, costs no
+    traceback: the exit code stays the query's and stderr stays empty,
+    also through the flush of buffered stdout at interpreter shutdown."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cpnets.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpnets", "dominates", dinner_path, *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 _json_leaf = st.one_of(
     st.none(),
     st.booleans(),

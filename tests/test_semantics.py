@@ -1,9 +1,13 @@
+import ast
+import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpnets
 from cpnets import (
     CPNet,
     CPTable,
@@ -20,7 +24,7 @@ from cpnets import (
     reach_set,
     replay,
 )
-from cpnets.semantics import movable, reverse_reach_set
+from cpnets.semantics import expand, movable, reverse_reach_set
 from helpers import random_net, reference_witnesses
 
 
@@ -105,6 +109,8 @@ class TestDominance:
     def test_budget_exceeded(self):
         # Find a net where the optimum is reachable from some outcome but
         # not in one flip; a budget of 1 must then trip before the answer.
+        # Every search trips the one budget check in expand the moment it
+        # holds budget + 1 states.
         rng = random.Random(3)
         for _ in range(40):
             net = random_net(rng, 8)
@@ -114,10 +120,23 @@ class TestDominance:
                 continue
             if target in {s for _, s in improving_flips(net, worst)}:
                 continue
-            with pytest.raises(StateBudgetExceeded) as info:
-                dominates(net, target, worst, max_states=1)
-            assert info.value.budget == 1
-            assert info.value.visited == 2
+            searches = [
+                (lambda b: dominates(net, target, worst, b), (1,)),
+                (lambda b: reach_set(net, worst, b), (1, 3, 5)),
+                (lambda b: reverse_reach_set(net, target, b), (1, 3, 5)),
+            ]
+            for search, budgets in searches:
+                for budget in budgets:
+                    with pytest.raises(StateBudgetExceeded) as info:
+                        search(budget)
+                    assert info.value.budget == budget
+                    assert info.value.visited == budget + 1
+            # The target is found before the budget is checked, so the
+            # budget that an answered search just fills still answers.
+            visited = dominates(net, target, worst).visited
+            assert dominates(net, target, worst, visited - 1).holds
+            with pytest.raises(StateBudgetExceeded):
+                dominates(net, target, worst, visited - 2)
             return
         pytest.fail("no test net with a deep enough chain")
 
@@ -137,6 +156,21 @@ class TestDominance:
         net = two_independent_ones()
         assert ordering_query(net, 0b01, 0b10)
         assert ordering_query(net, 0b10, 0b01)
+
+
+def test_budget_is_raised_only_by_the_kernel():
+    """expand is the one flip-search loop, so it alone raises
+    StateBudgetExceeded: a second hand-written search loop fails here."""
+    sites = []
+    for path in sorted(Path(cpnets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                if "StateBudgetExceeded" in ast.unparse(node.exc):
+                    sites.append((path.stem, node.lineno))
+    lines, start = inspect.getsourcelines(expand)
+    assert [
+        (module, start <= line < start + len(lines)) for module, line in sites
+    ] == [("semantics", True)]
 
 
 class TestPrunedSearch:

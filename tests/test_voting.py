@@ -125,8 +125,11 @@ class TestParetoGadgetProfiles:
 
     def test_budget_is_honored(self):
         gadget = m_ipo(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
-        with pytest.raises(StateBudgetExceeded):
-            is_pareto_optimal(gadget.profile, 0, max_states=10)
+        for budget in (1, 10):
+            with pytest.raises(StateBudgetExceeded) as info:
+                is_pareto_optimal(gadget.profile, 0, max_states=budget)
+            assert info.value.budget == budget
+            assert info.value.visited == budget + 1
 
 
 class TestDefinitions:
