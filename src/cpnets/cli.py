@@ -282,16 +282,14 @@ def _cmd_oracle_closure(args) -> dict:
     net, _ = _load_net(args.net)
     clo = oracle.closure(oracle.build_graph(net, args.oracle_bound))
     n = net.n
-    reach = {}
-    for alpha in range(1 << n):
-        row = clo.reach[alpha]
-        better = []
-        while row:
-            low = row & -row
-            better.append(outcome_str(low.bit_length() - 1, n))
-            row ^= low
-        reach[outcome_str(alpha, n)] = better
-    return {"reach": reach}
+    return {
+        "reach": {
+            outcome_str(alpha, n): [
+                outcome_str(u, n) for u in oracle.members(clo.reach[alpha])
+            ]
+            for alpha in range(1 << n)
+        }
+    }
 
 
 def _cmd_oracle_check(args) -> dict:
@@ -301,14 +299,13 @@ def _cmd_oracle_check(args) -> dict:
     clo = oracle.closure(oracle.build_graph(net, args.oracle_bound))
     n = net.n
     for alpha in range(1 << n):
-        mask = 0
-        for s in semantics.reach_set(net, alpha, args.max_states):
-            mask |= 1 << s
-        mask &= ~(1 << alpha)
-        if mask != clo.reach[alpha]:
+        engine = semantics.reach_set(net, alpha, args.max_states) - {alpha}
+        wrong = engine.symmetric_difference(oracle.members(clo.reach[alpha]))
+        if wrong:
             return {
                 "answer": False,
-                "detail": f"disagreement on outcomes above {outcome_str(alpha, n)}",
+                "detail": f"disagreement on {outcome_str(min(wrong), n)} "
+                f"above {outcome_str(alpha, n)}",
             }
     size = 1 << n
     return {"answer": True, "pairs": size * (size - 1)}

@@ -83,10 +83,6 @@ class CPNet:
     def parents(self, name: str) -> tuple[str, ...]:
         return self.tables[name].parents
 
-    @property
-    def edges(self) -> set[tuple[str, str]]:
-        return {(p, t.feature) for t in self.tables.values() for p in t.parents}
-
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Parents-first feature indices, ties broken by canonical index.

@@ -96,7 +96,7 @@ def _flip_sets(net: CPNet, bound: int) -> list[FlipSet]:
     return sets
 
 
-def _members(mask: int) -> Iterator[int]:
+def members(mask: int) -> Iterator[int]:
     """The outcomes in a bitmask, ascending."""
     return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
 
@@ -107,7 +107,7 @@ def build_graph(net: CPNet, bound: int = ORACLE_BOUND) -> ExtendedPreferenceGrap
     order."""
     arcs: list[list[int]] = [[] for _ in range(1 << net.n)]
     for own, _, _, flips in _flip_sets(net, bound):
-        for u in _members(flips):
+        for u in members(flips):
             arcs[u].append(u ^ own)
     return ExtendedPreferenceGraph(net=net, arcs=arcs)
 

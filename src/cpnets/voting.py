@@ -6,9 +6,11 @@ nothing beats it and an optimum when it beats everything else.
 
 Majority optimality of one outcome is read off one reachability search
 per agent, forward for optimal and backward for optimum, after a flip-vote
-pre-test that rejects most outcomes without any search. Only the exists_*
-queries enumerate all 2**n outcomes, so only they are gated by feature
-count (Rossi, Venable & Walsh, AAAI 2004, for the semantics).
+pre-test that rejects most outcomes without any search. Both queries then
+count votes per reached outcome, holding one agent's set at a time, so the
+count is bounded only by max_states. Only the exists_* queries enumerate
+all 2**n outcomes, so only they are gated by feature count (Rossi, Venable
+& Walsh, AAAI 2004, for the semantics).
 """
 
 from __future__ import annotations
@@ -179,33 +181,6 @@ def exists_pareto_optimum(profile: MCPNet) -> tuple[bool, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _threshold_mask(values: list[int], t: int, full: int) -> int:
-    """Bit positions where more than t of the given masks have the bit set.
-
-    Counts all positions at once with bit-plane addition, then compares the
-    per-position counter against t from the high plane down.
-    """
-    planes: list[int] = []
-    for v in values:
-        carry = v
-        k = 0
-        while carry:
-            if k == len(planes):
-                planes.append(0)
-            carry, planes[k] = planes[k] & carry, planes[k] ^ carry
-            k += 1
-    if t >> len(planes):
-        return 0
-    gt, eq = 0, full
-    for k in range(len(planes) - 1, -1, -1):
-        if (t >> k) & 1:
-            eq &= planes[k]
-        else:
-            gt |= eq & planes[k]
-            eq &= ~planes[k]
-    return gt
-
-
 def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
     """The most agents agreeing on one improving flip at alpha, and the
     agents with any improving flip there.
@@ -225,13 +200,6 @@ def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
         if moves:
             movers.append(net)
     return max(votes), movers
-
-
-def _bitmask(outcomes: set[int], n: int) -> int:
-    buf = bytearray(((1 << n) + 7) >> 3)
-    for o in outcomes:
-        buf[o >> 3] |= 1 << (o & 7)
-    return int.from_bytes(buf, "little")
 
 
 def is_majority_optimal(
@@ -269,25 +237,26 @@ def is_majority_optimum(
 
     An agent prefers alpha to exactly the outcomes in its backward search
     over worsening flips. Each of the 2**n - 1 others needs m // 2 + 1
-    such votes, so the set sizes, held until then, rule out most
-    candidates before any 2**n-bit mask is built.
+    such votes, so the running total of set sizes rules out most
+    candidates part way through. Votes are counted per reached outcome as
+    each set arrives, as in is_majority_optimal, so only one agent's set
+    is held at a time.
     """
     check_outcome(profile, alpha)
     m, t = profile.m, profile.m // 2
     if _flip_votes(profile, alpha)[0] > (m - 1) // 2:
         return False
-    others = (1 << profile.n) - 1
+    size = 1 << profile.n
+    others = size - 1
     missing = 0
-    beaten = []
+    votes: Counter[int] = Counter()
     for net in profile.agents:
         below = reverse_reach_set(net, alpha, max_states)
         missing += others - (len(below) - 1)
         if missing > (m - t - 1) * others:
             return False
-        beaten.append(below)
-    masks = [_bitmask(below, profile.n) for below in beaten]
-    full = (1 << (others + 1)) - 1
-    return _threshold_mask(masks, t, full) == full
+        votes.update(below)
+    return all(votes[o] > t for o in range(size))
 
 
 def _first_outcome(profile: MCPNet, test, max_states: int) -> tuple[bool, int | None]:

@@ -411,6 +411,28 @@ class TestOracleCommands:
         assert code == 0
         assert payload == {"answer": True, "pairs": 12}
 
+    @pytest.mark.parametrize(
+        "edit, detail",
+        [
+            # 00 is the optimum: an engine that also reaches 11 from it,
+            # or that never reaches 00, disagrees with the closure.
+            (lambda reached: reached | {0b11}, "disagreement on 11 above 00"),
+            (lambda reached: reached - {0b00}, "disagreement on 00 above 01"),
+        ],
+    )
+    def test_check_names_disagreement(
+        self, capsys, dinner_path, monkeypatch, edit, detail
+    ):
+        reach_set = cpnets.semantics.reach_set
+        monkeypatch.setattr(
+            cpnets.semantics,
+            "reach_set",
+            lambda net, alpha, max_states: edit(reach_set(net, alpha, max_states)),
+        )
+        code, payload = run_json(capsys, "oracle", "check", dinner_path)
+        assert code == 0
+        assert payload == {"answer": False, "detail": detail}
+
     def test_verify_default_nowin(self, capsys):
         code, payload = run_json(
             capsys, "oracle", "verify", "--lemma", "theorem_nowin"
