@@ -334,10 +334,21 @@ def _cmd_oracle_verify(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _bound(text: str) -> int:
+    """A budget or size bound: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an int of at least 1, got {text!r}")
+    return value
+
+
 def _add_max_states(p: argparse.ArgumentParser, default: int = DEFAULT_MAX_STATES):
     p.add_argument(
         "--max-states",
-        type=int,
+        type=_bound,
         default=default,
         help="abort any flip search visiting more than this many outcomes",
     )
@@ -427,17 +438,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = oq.add_parser("graph", help="materialize the improving-flip graph")
     p.add_argument("net")
     p.add_argument("--dot", action="store_true", help="emit DOT text")
-    p.add_argument("--oracle-bound", type=int, default=oracle.ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
     p.set_defaults(handler=_cmd_oracle_graph)
 
     p = oq.add_parser("closure", help="full dominance relation of a net")
     p.add_argument("net")
-    p.add_argument("--oracle-bound", type=int, default=oracle.ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
     p.set_defaults(handler=_cmd_oracle_closure)
 
     p = oq.add_parser("check", help="engine vs closure on all ordered pairs")
     p.add_argument("net")
-    p.add_argument("--oracle-bound", type=int, default=oracle.ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
     _add_max_states(p)
     p.set_defaults(handler=_cmd_oracle_check)
 
@@ -445,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", required=True, choices=oracle.LEMMA_TAGS)
     p.add_argument("--cnf", help="DIMACS file for formula claims")
     p.add_argument("--profile", help="profile JSON for profile claims")
-    p.add_argument("--oracle-bound", type=int, default=oracle.ORACLE_BOUND)
+    p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
     _add_max_states(p, default=oracle.VERIFY_MAX_STATES)
     p.set_defaults(handler=_cmd_oracle_verify)
 

@@ -11,6 +11,10 @@ Naming: variable pairs "V1^T"/"V1^F" (or "W1^T"/"W1^F" for the
 universally quantified block), literal features "P_j_k" (clause j,
 position k), clause features "D_j", pyramid features "A_5"/"B_3",
 copy suffixes "^a"/"^b", gate features "U1"/"U2".
+
+Both formula nets share one variable, literal and clause layer; the
+summarized net gates it on U1. m_imm returns an MImm, which is an MEml
+with the same fields and outcome helpers.
 """
 
 from __future__ import annotations
@@ -107,44 +111,51 @@ class FormulaNet:
         return self.net.mask(*pairs, *self.clause_features)
 
 
-def _literal_rows(lit: int) -> dict[tuple[int, int], int]:
-    want = (1, 0) if lit > 0 else (0, 1)
-    return {cond: (1 if cond == want else 0) for cond in product((0, 1), repeat=2)}
-
-
-def _any_rows(width: int) -> dict[tuple[int, ...], int]:
+def _rows(width: int, raise_when: Callable[[tuple], bool]) -> dict[tuple, int]:
+    """The full table over `width` parents: prefer 1 exactly where
+    raise_when holds of the parent values."""
     return {
-        cond: (1 if any(cond) else 0) for cond in product((0, 1), repeat=width)
+        cond: (1 if raise_when(cond) else 0) for cond in product((0, 1), repeat=width)
     }
+
+
+def _formula_layers(
+    phi: CnfFormula, var_names: Sequence[tuple[str, str]], gates: tuple[str, ...] = ()
+) -> tuple[list[CPTable], tuple[tuple[str, ...], ...], tuple[str, ...]]:
+    """Tables of the variable pairs, then per clause its literal features
+    P_j_k and its clause feature D_j; returns them with the literal and
+    clause feature tuples. Variable and literal features rise only while
+    every gate parent is 0."""
+    closed = (0,) * len(gates)
+    var_rows = _rows(len(gates), lambda cond: cond == closed)
+    tables = [CPTable(name, gates, var_rows) for pair in var_names for name in pair]
+    # A literal rises over (V^T, V^F) = (1, 0), or (0, 1) when negated.
+    literal_rows = {
+        want: _rows(len(gates) + 2, lambda cond: cond == closed + want)
+        for want in ((1, 0), (0, 1))
+    }
+    literal_features = []
+    for j, clause in enumerate(phi.clauses, start=1):
+        names = tuple(f"P_{j}_{k}" for k in range(1, len(clause) + 1))
+        for name, lit in zip(names, clause):
+            parents = (*gates, *var_names[abs(lit) - 1])
+            rows = literal_rows[(1, 0) if lit > 0 else (0, 1)]
+            tables.append(CPTable(name, parents, rows))
+        literal_features.append(names)
+        tables.append(CPTable(f"D_{j}", names, _rows(len(names), any)))
+    clause_features = tuple(f"D_{j}" for j in range(1, len(phi.clauses) + 1))
+    return tables, tuple(literal_features), clause_features
 
 
 def formula_net(phi: CnfFormula) -> FormulaNet:
     check_formula(phi)
-    tables: list[CPTable] = []
-    var_features = []
-    for i in range(1, phi.num_vars + 1):
-        t, f = f"V{i}^T", f"V{i}^F"
-        var_features.append((t, f))
-        tables.append(CPTable(t, (), {(): 1}))
-        tables.append(CPTable(f, (), {(): 1}))
-    literal_features = []
-    clause_features = []
-    for j, clause in enumerate(phi.clauses, start=1):
-        names = []
-        for k, lit in enumerate(clause, start=1):
-            name = f"P_{j}_{k}"
-            names.append(name)
-            vt, vf = var_features[abs(lit) - 1]
-            tables.append(CPTable(name, (vt, vf), _literal_rows(lit)))
-        literal_features.append(tuple(names))
-        dname = f"D_{j}"
-        clause_features.append(dname)
-        tables.append(CPTable(dname, tuple(names), _any_rows(len(names))))
+    var_features = tuple((f"V{i}^T", f"V{i}^F") for i in range(1, phi.num_vars + 1))
+    tables, literal_features, clause_features = _formula_layers(phi, var_features)
     return FormulaNet(
         net=net_from_tables(tables),
-        var_features=tuple(var_features),
-        literal_features=tuple(literal_features),
-        clause_features=tuple(clause_features),
+        var_features=var_features,
+        literal_features=literal_features,
+        clause_features=clause_features,
     )
 
 
@@ -209,11 +220,7 @@ def _pyramid(
         for group in _layer_groups(current):
             counter += 1
             name = f"{prefix}_{counter}"
-            rows = {
-                cond: (1 if raise_when(cond) else 0)
-                for cond in product((0, 1), repeat=len(group))
-            }
-            tables[name] = CPTable(name, tuple(group), rows)
+            tables[name] = CPTable(name, tuple(group), _rows(len(group), raise_when))
             order.append(name)
             next_layer.append(name)
         current = next_layer
@@ -308,29 +315,9 @@ def summarized_formula_net(
     if len(var_names) != phi.num_vars:
         raise ValueError("need one name pair per variable")
     u1, u2 = "U1", "U2"
-    gated = {(0,): 1, (1,): 0}
-    tables: list[CPTable] = []
-    for t, f in var_names:
-        tables.append(CPTable(t, (u1,), gated))
-        tables.append(CPTable(f, (u1,), gated))
-    literal_features = []
-    clause_features = []
-    for j, clause in enumerate(phi.clauses, start=1):
-        names = []
-        for k, lit in enumerate(clause, start=1):
-            name = f"P_{j}_{k}"
-            names.append(name)
-            vt, vf = var_names[abs(lit) - 1]
-            want = (0, 1, 0) if lit > 0 else (0, 0, 1)
-            rows = {
-                cond: (1 if cond == want else 0)
-                for cond in product((0, 1), repeat=3)
-            }
-            tables.append(CPTable(name, (u1, vt, vf), rows))
-        literal_features.append(tuple(names))
-        dname = f"D_{j}"
-        clause_features.append(dname)
-        tables.append(CPTable(dname, tuple(names), _any_rows(len(names))))
+    tables, literal_features, clause_features = _formula_layers(
+        phi, var_names, (u1,)
+    )
     frag = h_c(clause_features, prefix="A")
     tables.extend(frag.tables[name] for name in frag.features)
     tables.append(CPTable(u1, (), {(): 1}))
@@ -338,8 +325,8 @@ def summarized_formula_net(
     return SummarizedNet(
         net=net_from_tables(tables),
         var_features=tuple(var_names),
-        literal_features=tuple(literal_features),
-        clause_features=tuple(clause_features),
+        literal_features=literal_features,
+        clause_features=clause_features,
         hc_features=frag.features,
         apex=frag.apex,
     )
@@ -371,23 +358,25 @@ class MIpo:
         return self.profile.agents[0]
 
 
+def _renamed(
+    tables: Mapping[str, CPTable], rename: Callable[[str], str]
+) -> dict[str, CPTable]:
+    """The tables with every feature and parent name passed through rename."""
+    return {
+        rename(name): CPTable(rename(name), tuple(map(rename, t.parents)), t.rows)
+        for name, t in tables.items()
+    }
+
+
 def _suffixed(f: FormulaNet, suffix: str) -> FormulaNet:
     def r(s: str) -> str:
         return s + suffix
 
-    tables = {
-        r(name): CPTable(
-            r(name), tuple(r(p) for p in t.parents), t.rows
-        )
-        for name, t in f.net.tables.items()
-    }
     return FormulaNet(
-        net=CPNet(tuple(r(x) for x in f.net.features), tables),
+        net=CPNet(tuple(map(r, f.net.features)), _renamed(f.net.tables, r)),
         var_features=tuple((r(a), r(b)) for a, b in f.var_features),
-        literal_features=tuple(
-            tuple(r(p) for p in c) for c in f.literal_features
-        ),
-        clause_features=tuple(r(d) for d in f.clause_features),
+        literal_features=tuple(tuple(map(r, c)) for c in f.literal_features),
+        clause_features=tuple(map(r, f.clause_features)),
     )
 
 
@@ -479,7 +468,6 @@ class _QbfParts:
     primes: tuple[str, ...]
     prime_parents: tuple[tuple[str, str], ...]
     b_fragment: NetFragment
-    watched: tuple[str, ...]
 
 
 def _qbf_parts(formula: Qbf2Formula) -> _QbfParts:
@@ -524,28 +512,20 @@ def _qbf_parts(formula: Qbf2Formula) -> _QbfParts:
         primes=primes,
         prime_parents=prime_parents,
         b_fragment=b_fragment,
-        watched=watched,
     )
+
+
+def _low(names: Sequence[str]) -> dict[str, CPTable]:
+    """One table per name, pinned low: parentless, prefer 0."""
+    return {name: CPTable(name, (), {(): 0}) for name in names}
 
 
 def _flat_tables(parts: _QbfParts) -> dict[str, CPTable]:
     """Agent 1's tables: the summarized net plus every prime and pyramid-B
-    feature pinned low (parentless, prefer 0)."""
-    tables = dict(parts.summary.net.tables)
-    for name in parts.primes + parts.b_fragment.features:
-        tables[name] = CPTable(name, (), {(): 0})
-    return tables
-
-
-def _swapped_tables(tables: dict[str, CPTable], a: str, b: str) -> dict[str, CPTable]:
-    swap = {a: b, b: a}
-
-    def r(s: str) -> str:
-        return swap.get(s, s)
-
+    feature pinned low."""
     return {
-        r(name): CPTable(r(name), tuple(r(p) for p in t.parents), t.rows)
-        for name, t in tables.items()
+        **parts.summary.net.tables,
+        **_low(parts.primes + parts.b_fragment.features),
     }
 
 
@@ -553,22 +533,10 @@ def _watcher_tables(parts: _QbfParts) -> dict[str, CPTable]:
     """Agent 3's tables: everything prefers 0 except that each prime rises
     over a fully raised variable pair, the disjunctive pyramid watches the
     primes and the rest of the machinery, and U1/U2 chain off its apex."""
-    tables: dict[str, CPTable] = {}
     summary = parts.summary
-    low = (
-        tuple(n for pair in parts.var_features for n in pair)
-        + tuple(p for c in summary.literal_features for p in c)
-        + summary.clause_features
-        + summary.hc_features
-    )
-    for name in low:
-        tables[name] = CPTable(name, (), {(): 0})
-    for prime, (vt, vf) in zip(parts.primes, parts.prime_parents):
-        rows = {
-            cond: (1 if cond == (1, 1) else 0)
-            for cond in product((0, 1), repeat=2)
-        }
-        tables[prime] = CPTable(prime, (vt, vf), rows)
+    tables = _low(parts.universe)
+    for prime, pair in zip(parts.primes, parts.prime_parents):
+        tables[prime] = CPTable(prime, pair, _rows(2, all))
     tables.update(parts.b_fragment.tables)
     tables[summary.u1] = CPTable(
         summary.u1, (parts.b_fragment.apex,), {(1,): 1, (0,): 0}
@@ -603,35 +571,21 @@ class MEml:
         return encode_assignment(sigma, self)
 
 
-@dataclass
-class MImm:
+class MImm(MEml):
     """Three agents over the shared quantified-formula universe; the only
     possible majority optimum is alpha_bar(), and it is one exactly when
     the quantified formula is not valid."""
-
-    profile: MCPNet
-    var_features: tuple[tuple[str, str], ...]
-    exists_vars: tuple[int, ...]
-    u1: str
-    u2: str
-
-    alpha_bar = MEml.alpha_bar
-    beta_sigma = MEml.beta_sigma
-    net = MEml.net
 
 
 def m_eml(formula: Qbf2Formula) -> MEml:
     parts = _qbf_parts(formula)
     summary = parts.summary
     n1 = _flat_tables(parts)
-    n2 = _swapped_tables(n1, summary.u1, summary.u2)
+    swap = {summary.u1: summary.u2, summary.u2: summary.u1}
+    n2 = _renamed(n1, lambda s: swap.get(s, s))
     n3 = _watcher_tables(parts)
 
-    n5: dict[str, CPTable] = {
-        name: CPTable(name, (), {(): 0})
-        for name in parts.universe
-        if name not in (summary.u1, summary.u2)
-    }
+    n5 = _low(parts.universe)
     n5[summary.u1] = CPTable(summary.u1, (), {(): 1})
     n5[summary.u2] = CPTable(summary.u2, (summary.u1,), {(1,): 1, (0,): 0})
 

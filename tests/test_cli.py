@@ -38,6 +38,17 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _pyramid_net(build, m):
+    """The net `cpnets gadget hc|hd -m M` prints: M parentless inputs
+    S_1..S_M that prefer 1, then the pyramid over them."""
+    inputs = [f"S_{i}" for i in range(1, m + 1)]
+    fragment = build(inputs)
+    return cpnets.net_from_tables(
+        [cpnets.CPTable(name, (), {(): 1}) for name in inputs]
+        + [fragment.tables[name] for name in fragment.features]
+    )
+
+
 @pytest.fixture()
 def profile_path(tmp_path, dinner_profile):
     path = tmp_path / "profile.json"
@@ -323,6 +334,42 @@ class TestGadgetCommand:
             expected = formula_net(parse_dimacs(fh.read())).net
         assert payload == net_to_json(expected)
 
+    @pytest.mark.parametrize(
+        "kind, argv, build",
+        [
+            ("formula-net", ["--cnf", "{cnf}"], lambda c, q: cpnets.formula_net(c).net),
+            (
+                "summarized",
+                ["--cnf", "{cnf}"],
+                lambda c, q: cpnets.summarized_formula_net(c).net,
+            ),
+            ("hc", ["-m", "5"], lambda c, q: _pyramid_net(cpnets.h_c, 5)),
+            ("hd", ["-m", "4"], lambda c, q: _pyramid_net(cpnets.h_d, 4)),
+            (
+                "direct",
+                ["--outcome", "101"],
+                lambda c, q: cpnets.direct_net(0b101, ("X1", "X2", "X3")),
+            ),
+            ("m-ipo", ["--cnf", "{cnf}"], lambda c, q: cpnets.m_ipo(c).profile),
+            ("m-eml", ["--qbf", "{qbf}"], lambda c, q: cpnets.m_eml(q).profile),
+            ("m-imm", ["--qbf", "{qbf}"], lambda c, q: cpnets.m_imm(q).profile),
+            ("m-nowin", [], lambda c, q: cpnets.m_nowin()),
+        ],
+    )
+    def test_every_kind_prints_the_library_gadget(
+        self, capsys, cnf_path, qbf_path, kind, argv, build
+    ):
+        """stdout is the library builder's JSON, byte for byte."""
+        argv = [word.format(cnf=cnf_path, qbf=qbf_path) for word in argv]
+        code, out = run(capsys, "gadget", kind, *argv)
+        assert code == 0
+        built = build(
+            parse_dimacs(Path(cnf_path).read_text()),
+            cpnets.parse_qdimacs(Path(qbf_path).read_text()),
+        )
+        to_json = profile_to_json if isinstance(built, cpnets.MCPNet) else net_to_json
+        assert out == json.dumps(to_json(built), indent=2) + "\n"
+
     def test_formula_net_requires_cnf(self, capsys):
         code, payload = run_json(capsys, "gadget", "formula-net")
         assert code == 2
@@ -477,8 +524,19 @@ class TestOracleCommands:
         ["dominates", "{net}", "00"],
         ["dominates", "{net}", "00", "10", "--max-states", "abc"],
         ["optimum", "{net}", "--witness"],
+        ["dominates", "{net}", "00", "11", "--max-states", "-1"],
+        ["dominates", "{net}", "00", "11", "--max-states", "0"],
+        ["oracle", "graph", "{net}", "--oracle-bound", "-2"],
     ],
-    ids=["unknown-command", "missing-argument", "bad-int", "foreign-flag"],
+    ids=[
+        "unknown-command",
+        "missing-argument",
+        "bad-int",
+        "foreign-flag",
+        "negative-budget",
+        "zero-budget",
+        "negative-oracle-bound",
+    ],
 )
 def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):
     argv = [word.format(net=dinner_path) for word in argv]
