@@ -20,6 +20,7 @@ from .errors import CycleError, InstanceTooLarge, StateBudgetExceeded
 from .model import (
     CPNet,
     CPTable,
+    MCPNet,
     net_from_json,
     net_from_tables,
     net_to_json,
@@ -220,48 +221,50 @@ def _cmd_query(args) -> dict:
     }
 
 
+def _read_cnf(path: str) -> gadgets.CnfFormula:
+    return gadgets.parse_dimacs(_read_text(path))
+
+
+def _read_qbf(path: str) -> gadgets.Qbf2Formula:
+    return gadgets.parse_qdimacs(_read_text(path))
+
+
+def _pyramid(build, m: int) -> CPNet:
+    """hc or hd over m inputs S_1..S_m that are parentless and prefer 1."""
+    inputs = [CPTable(f"S_{i}", (), {(): 1}) for i in range(1, m + 1)]
+    fragment = build([table.feature for table in inputs])
+    return net_from_tables(inputs + [fragment.tables[f] for f in fragment.features])
+
+
+def _direct(bits: str) -> CPNet:
+    if any(c not in "01" for c in bits):
+        raise ValueError("--outcome must be a nonempty bitstring")
+    features = [f"X{i}" for i in range(1, len(bits) + 1)]
+    return gadgets.direct_net(int(bits, 2), features)
+
+
+# Gadget kind -> (the option it reads, or None; its builder, which takes
+# that option's value and returns a CPNet or an MCPNet).
+GADGETS = {
+    "formula-net": ("--cnf", lambda p: gadgets.formula_net(_read_cnf(p)).net),
+    "summarized": ("--cnf", lambda p: gadgets.summarized_formula_net(_read_cnf(p)).net),
+    "hc": ("-m", functools.partial(_pyramid, gadgets.h_c)),
+    "hd": ("-m", functools.partial(_pyramid, gadgets.h_d)),
+    "direct": ("--outcome", _direct),
+    "m-ipo": ("--cnf", lambda p: gadgets.m_ipo(_read_cnf(p)).profile),
+    "m-eml": ("--qbf", lambda p: gadgets.m_eml(_read_qbf(p)).profile),
+    "m-imm": ("--qbf", lambda p: gadgets.m_imm(_read_qbf(p)).profile),
+    "m-nowin": (None, lambda _: gadgets.m_nowin()),
+}
+
+
 def _cmd_gadget(args) -> dict:
-    kind = args.kind
-
-    def cnf() -> gadgets.CnfFormula:
-        if not args.cnf:
-            raise ValueError(f"gadget {kind} needs --cnf")
-        return gadgets.parse_dimacs(_read_text(args.cnf))
-
-    def qbf() -> gadgets.Qbf2Formula:
-        if not args.qbf:
-            raise ValueError(f"gadget {kind} needs --qbf")
-        return gadgets.parse_qdimacs(_read_text(args.qbf))
-
-    if kind == "formula-net":
-        return net_to_json(gadgets.formula_net(cnf()).net)
-    if kind == "summarized":
-        return net_to_json(gadgets.summarized_formula_net(cnf()).net)
-    if kind in ("hc", "hd"):
-        if args.m is None or args.m < 1:
-            raise ValueError(f"gadget {kind} needs -m N with N >= 1")
-        inputs = [f"S_{i}" for i in range(1, args.m + 1)]
-        build = gadgets.h_c if kind == "hc" else gadgets.h_d
-        fragment = build(inputs)
-        tables = [CPTable(name, (), {(): 1}) for name in inputs] + [
-            fragment.tables[name] for name in fragment.features
-        ]
-        return net_to_json(net_from_tables(tables))
-    if kind == "direct":
-        if not args.outcome:
-            raise ValueError("gadget direct needs --outcome bits")
-        bits = args.outcome
-        if not bits or any(c not in "01" for c in bits):
-            raise ValueError("--outcome must be a nonempty bitstring")
-        features = [f"X{i}" for i in range(1, len(bits) + 1)]
-        return net_to_json(gadgets.direct_net(int(bits, 2), features))
-    if kind == "m-ipo":
-        return profile_to_json(gadgets.m_ipo(cnf()).profile)
-    if kind == "m-eml":
-        return profile_to_json(gadgets.m_eml(qbf()).profile)
-    if kind == "m-imm":
-        return profile_to_json(gadgets.m_imm(qbf()).profile)
-    return profile_to_json(gadgets.m_nowin())
+    option, build = GADGETS[args.kind]
+    value = option and getattr(args, option.lstrip("-"))
+    if option and not value:
+        raise ValueError(f"gadget {args.kind} needs {option}")
+    built = build(value)
+    return profile_to_json(built) if isinstance(built, MCPNet) else net_to_json(built)
 
 
 def _cmd_oracle_graph(args):
@@ -317,7 +320,7 @@ def _cmd_oracle_verify(args) -> dict:
     if path is None:
         instance = None
     elif kind == "cnf":
-        instance = gadgets.parse_dimacs(_read_text(path))
+        instance = _read_cnf(path)
     else:
         instance, _ = _load_profile(path)
     report = oracle.verify_lemma(
@@ -412,24 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
         q.set_defaults(handler=_cmd_query, words=words)
 
     p = sub.add_parser("gadget", help="generate nets and profiles from formulas")
-    p.add_argument(
-        "kind",
-        choices=(
-            "formula-net",
-            "summarized",
-            "hc",
-            "hd",
-            "direct",
-            "m-ipo",
-            "m-eml",
-            "m-imm",
-            "m-nowin",
-        ),
-    )
+    p.add_argument("kind", choices=GADGETS)
     p.add_argument("--cnf", help="DIMACS file for formula gadgets")
     p.add_argument("--qbf", help="two-block QDIMACS-style file")
     p.add_argument("--outcome", help="bitstring for the direct gadget")
-    p.add_argument("-m", type=int, help="input count for hc/hd")
+    p.add_argument("-m", type=_bound, help="input count for hc/hd")
     p.set_defaults(handler=_cmd_gadget)
 
     op = sub.add_parser("oracle", help="explicit-graph reference procedures")

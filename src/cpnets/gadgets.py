@@ -74,8 +74,10 @@ def check_qbf(formula: Qbf2Formula) -> None:
     if exists & forall:
         raise ValueError("the quantifier blocks overlap")
     check_formula(formula.matrix)
-    everything = set(range(1, formula.matrix.num_vars + 1))
-    if exists | forall != everything:
+    # Counted, not listed: the disjoint blocks cover 1..n exactly when
+    # they hold n variables, each in range.
+    n = formula.matrix.num_vars
+    if len(exists) + len(forall) != n or not all(1 <= v <= n for v in exists | forall):
         raise ValueError("the blocks must partition the matrix variables")
 
 
@@ -299,10 +301,9 @@ class SummarizedNet:
     def alpha(self, sigma: PartialAssignment | None = None) -> int:
         return encode_assignment(sigma or {}, self)
 
-    def beta_bar(self, var_bits: int = 0) -> int:
-        """Outcome raising exactly U1 and U2; var_bits, when given, is OR-ed
-        in to choose values for the variable pairs."""
-        return self.net.mask(self.u1, self.u2) | var_bits
+    def beta_bar(self) -> int:
+        """Outcome raising exactly U1 and U2."""
+        return self.net.mask(self.u1, self.u2)
 
 
 def summarized_formula_net(
@@ -670,12 +671,20 @@ def _read_dimacs(
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse conjunctive-normal-form text: a 'p cnf <vars> <clauses>'
-    header, then whitespace-separated literals with 0 ending each clause."""
+    header, then whitespace-separated literals with 0 ending each clause.
+    The header may not declare more variables than the clauses use: unused
+    trailing variables would only add free feature pairs to every gadget."""
     num_vars, _, clauses = _read_dimacs(text)
     if num_vars is None:
         raise ValueError("missing 'p cnf' header")
     phi = CnfFormula(num_vars=num_vars, clauses=clauses)
     check_formula(phi)
+    used = max(abs(lit) for clause in clauses for lit in clause)
+    if num_vars > used:
+        raise ValueError(
+            f"header declares {num_vars} variables, "
+            f"but no clause uses a variable above {used}"
+        )
     return phi
 
 

@@ -225,11 +225,12 @@ def sat_enumerate(
     for var in fixed:
         if not 1 <= var <= phi.num_vars:
             raise ValueError(f"assignment mentions unknown variable {var}")
-    free = [v for v in range(1, phi.num_vars + 1) if v not in fixed]
-    if len(free) > bound:
+    unassigned = phi.num_vars - len(fixed)
+    if unassigned > bound:
         raise InstanceTooLarge(
-            f"{len(free)} unassigned variables; enumeration is capped at {bound}"
+            f"{unassigned} unassigned variables; enumeration is capped at {bound}"
         )
+    free = [v for v in range(1, phi.num_vars + 1) if v not in fixed]
     values = dict(fixed)
     for bits in range(1 << len(free)):
         for i, v in enumerate(free):
@@ -274,55 +275,32 @@ class LemmaReport:
     detail: str = ""
 
 
-def _check_pair_equivalence(
-    above: int, below: int, beta: int, alpha: int, expected: bool, n: int
-) -> str | None:
-    """The shared shape of the formula-net claims: beta dominates alpha
-    exactly under `expected`, and alpha never dominates beta (so the
-    negative case is incomparability, not reverse dominance). above and
-    below are beta's forward and backward sweeps: the outcomes that
-    dominate beta and those that beta dominates."""
-    if bool((below >> alpha) & 1) != expected:
-        verb = "should dominate" if expected else "should not dominate"
-        return (
-            f"{outcome_str(beta, n)} {verb} {outcome_str(alpha, n)}"
-        )
-    if (above >> alpha) & 1:
-        return (
-            f"{outcome_str(alpha, n)} unexpectedly dominates {outcome_str(beta, n)}"
-        )
-    return None
-
-
-def _sweeps(net: CPNet, beta: int, bound: int) -> tuple[int, int]:
-    sets = _flip_sets(net, bound)
-    return _sweep(sets, beta, True), _sweep(sets, beta, False)
-
-
-def _verify_corollary(build, phi: CnfFormula, bound: int, max_states: int):
-    """beta_bar dominates alpha in build(phi) exactly when phi is satisfiable."""
+def _verify_pairs(
+    build, every_sigma: bool, phi: CnfFormula, bound: int, max_states: int
+):
+    """The formula-net claims: in build(phi), beta_bar dominates
+    alpha(sigma) exactly when phi is satisfiable under sigma, and
+    alpha(sigma) never dominates beta_bar, so the negative case is
+    incomparability, not reverse dominance. lemma1 checks every partial
+    assignment sigma, the corollaries only the empty one. One sweep each
+    way from beta_bar answers every sigma: forward gives the outcomes that
+    dominate beta_bar, backward those it dominates."""
     built = build(phi)
-    beta = built.beta_bar()
-    above, below = _sweeps(built.net, beta, bound)
-    return 1, _check_pair_equivalence(
-        above, below, beta, built.alpha(), sat_enumerate(phi), built.net.n
-    )
-
-
-def _verify_lemma1(phi: CnfFormula, bound: int, max_states: int):
-    built = formula_net(phi)
-    beta = built.beta_bar()
-    above, below = _sweeps(built.net, beta, bound)
-    checked = 0
-    for choice in product((None, True, False), repeat=phi.num_vars):
+    beta, show = built.beta_bar(), partial(outcome_str, n=built.net.n)
+    sets = _flip_sets(built.net, bound)
+    above, below = _sweep(sets, beta, True), _sweep(sets, beta, False)
+    choices = product((None, True, False), repeat=phi.num_vars if every_sigma else 0)
+    for checked, choice in enumerate(choices, start=1):
         sigma = {v: val for v, val in enumerate(choice, start=1) if val is not None}
-        checked += 1
-        failure = _check_pair_equivalence(
-            above, below, beta, built.alpha(sigma), sat_enumerate(phi, sigma),
-            built.net.n,
-        )
-        if failure:
-            return checked, f"sigma={sigma}: {failure}"
+        alpha, expected = built.alpha(sigma), sat_enumerate(phi, sigma)
+        if bool((below >> alpha) & 1) != expected:
+            verb = "should dominate" if expected else "should not dominate"
+            failure = f"{show(beta)} {verb} {show(alpha)}"
+        elif (above >> alpha) & 1:
+            failure = f"{show(alpha)} unexpectedly dominates {show(beta)}"
+        else:
+            continue
+        return checked, f"sigma={sigma}: {failure}" if every_sigma else failure
     return checked, None
 
 
@@ -338,35 +316,27 @@ def _verify_lemma5(phi: CnfFormula, bound: int, max_states: int):
     return 1, f"all-zero outcome {verb} Pareto optimal in the two-agent profile"
 
 
-def _pareto_optimum_mask(closures: list[DominanceClosure], size: int) -> int:
-    """Definition-level Pareto optimum set as a bitmask: alpha qualifies
-    when every other outcome reaches alpha in every agent's closure."""
-    mask = (1 << size) - 1
-    for clo in closures:
-        acc = mask
-        for beta in range(size):
-            acc &= clo.reach[beta] | (1 << beta)
-        mask &= acc
-    return mask
-
-
 def _verify_lemma7(profile: MCPNet, bound: int, max_states: int):
     graphs = [build_graph(agent, bound) for agent in profile.agents]
-    size = 1 << profile.n
+    optima = []
     for i, graph in enumerate(graphs):
         tops = sinks(graph)
         if len(tops) != 1:
             return 0, f"agent {i} has {len(tops)} flip-free outcomes"
-    optima = [sinks(graph)[0] for graph in graphs]
-    closures = [closure(graph) for graph in graphs]
-    actual = _pareto_optimum_mask(closures, size)
-    shared = optima[0] if all(o == optima[0] for o in optima) else None
-    expected = 0 if shared is None else 1 << shared
+        optima.append(tops[0])
+    # The definition-level Pareto optimum set: alpha qualifies when every
+    # other outcome reaches alpha in every agent's closure.
+    n = profile.n
+    size = 1 << n
+    actual = (1 << size) - 1
+    for graph in graphs:
+        for beta, row in enumerate(closure(graph).reach):
+            actual &= row | (1 << beta)
+    expected = 1 << optima[0] if len(set(optima)) == 1 else 0
     if actual == expected:
         return size, None
-    n = profile.n
-    have = [outcome_str(o, n) for o in range(size) if (actual >> o) & 1]
-    want = [] if shared is None else [outcome_str(shared, n)]
+    have = [outcome_str(o, n) for o in members(actual)]
+    want = [outcome_str(o, n) for o in members(expected)]
     return size, f"Pareto optimum set {have} but individual optima give {want}"
 
 
@@ -391,9 +361,9 @@ def _verify_theorem_nowin(profile: MCPNet, bound: int, max_states: int):
 # None when the instance is required). A check takes (instance, bound,
 # max_states) and returns the cases checked and a failure message or None.
 CLAIMS = {
-    "corollary1": ("cnf", partial(_verify_corollary, formula_net), None),
-    "lemma1": ("cnf", _verify_lemma1, None),
-    "corollary2": ("cnf", partial(_verify_corollary, summarized_formula_net), None),
+    "corollary1": ("cnf", partial(_verify_pairs, formula_net, False), None),
+    "lemma1": ("cnf", partial(_verify_pairs, formula_net, True), None),
+    "corollary2": ("cnf", partial(_verify_pairs, summarized_formula_net, False), None),
     "lemma5": ("cnf", _verify_lemma5, None),
     "lemma7": ("profile", _verify_lemma7, None),
     "theorem_nowin": ("profile", _verify_theorem_nowin, m_nowin),

@@ -238,8 +238,11 @@ def _assemble_witness(
 
 def replay(net: CPNet, seq: FlipSequence) -> bool:
     """Check a witness: each step must be improving when applied, and the
-    walk must go from seq.start to seq.end."""
+    walk must go from seq.start to seq.end, an outcome of the net. Steps
+    only flip the net's own bits, so end is then an outcome too."""
     o = seq.start
+    if not 0 <= o < 1 << net.n:
+        return False
     for name, before, after in seq.steps:
         if name not in net.tables:
             return False

@@ -1,8 +1,14 @@
 """Shared generators for randomized and exhaustive test inputs."""
 
+import os
+import resource
+import subprocess
+import sys
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
+import cpnets
 from cpnets import (
     CPTable,
     CnfFormula,
@@ -127,3 +133,21 @@ def random_formula(rng, max_vars=4, max_clauses=3):
     pool = clause_pool(n)
     k = rng.randint(1, min(max_clauses, len(pool)))
     return CnfFormula(num_vars=n, clauses=tuple(rng.sample(pool, k)))
+
+
+def run_capped(*args, limit=3 << 29):
+    """Run the interpreter with `args` in a child whose address space is
+    capped at `limit` bytes (1.5 GB by default), so input that asks for
+    huge allocations fails fast in the child instead of filling memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cpnets.__file__).parents[1])},
+        preexec_fn=cap,
+        timeout=60,
+    )

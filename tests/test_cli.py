@@ -23,8 +23,9 @@ from cpnets import (
     profile_from_json,
     profile_to_json,
 )
+from cpnets import cli
 from cpnets.cli import main
-from helpers import random_net, random_profile
+from helpers import random_net, random_profile, run_capped
 
 
 def run(capsys, *argv):
@@ -370,6 +371,15 @@ class TestGadgetCommand:
         to_json = profile_to_json if isinstance(built, cpnets.MCPNet) else net_to_json
         assert out == json.dumps(to_json(built), indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "kind, option",
+        [(kind, option) for kind, (option, _) in cli.GADGETS.items() if option],
+    )
+    def test_missing_input_names_its_option(self, capsys, kind, option):
+        code, payload = run_json(capsys, "gadget", kind)
+        assert code == 2
+        assert payload == {"error": f"gadget {kind} needs {option}"}
+
     def test_formula_net_requires_cnf(self, capsys):
         code, payload = run_json(capsys, "gadget", "formula-net")
         assert code == 2
@@ -527,6 +537,7 @@ class TestOracleCommands:
         ["dominates", "{net}", "00", "11", "--max-states", "-1"],
         ["dominates", "{net}", "00", "11", "--max-states", "0"],
         ["oracle", "graph", "{net}", "--oracle-bound", "-2"],
+        ["gadget", "hc", "-m", "0"],
     ],
     ids=[
         "unknown-command",
@@ -536,6 +547,7 @@ class TestOracleCommands:
         "negative-budget",
         "zero-budget",
         "negative-oracle-bound",
+        "zero-pyramid-inputs",
     ],
 )
 def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):
@@ -607,6 +619,29 @@ def test_closed_stdout_exits_quietly(dinner_path, argv, code):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (code, "")
+
+
+HUGE_CNF = "p cnf 99999999999 1\n1 0\n"
+HUGE_QBF = "p cnf 99999999999 1\ne 1 0\na 2 0\n1 2 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["gadget", "formula-net", "--cnf"], HUGE_CNF),
+        (["oracle", "verify", "--lemma", "corollary2", "--cnf"], HUGE_CNF),
+        (["gadget", "m-eml", "--qbf"], HUGE_QBF),
+    ],
+    ids=["formula-net", "corollary2", "m-eml"],
+)
+def test_huge_declared_variable_count_is_bad_input(tmp_path, argv, text):
+    """A header that declares billions of variables is refused before
+    anything is sized by it, inside a 1.5 GB address space."""
+    path = tmp_path / "huge"
+    path.write_text(text)
+    proc = run_capped("-m", "cpnets", *argv, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["error"]
 
 
 _json_leaf = st.one_of(

@@ -26,6 +26,7 @@ from cpnets import (
     validate_profile,
 )
 from cpnets import CPTable
+from helpers import run_capped
 
 
 def bits(net, *names):
@@ -442,6 +443,11 @@ p cnf 3 2
         with pytest.raises(ValueError):
             parse_dimacs("p cnf 4 1\n1 2 3 4 0")
 
+    @pytest.mark.parametrize("declared", [3, 99999999999])
+    def test_header_may_not_declare_unused_variables(self, declared):
+        with pytest.raises(ValueError, match="no clause uses a variable above 2"):
+            parse_dimacs(f"p cnf {declared} 1\n1 -2 0")
+
 
 class TestQdimacs:
     def test_parse_basic(self):
@@ -469,3 +475,31 @@ a 2 3 0
     def test_blocks_must_cover_matrix(self):
         with pytest.raises(ValueError):
             parse_qdimacs("p cnf 2 1\ne 1 0\n1 2 0")
+
+    @pytest.mark.parametrize(
+        "exists, forall, num_vars",
+        [
+            ((1,), (2,), 3),
+            ((1,), (3,), 2),
+            ((0,), (2,), 2),
+            ((1, 2), (3,), 2),
+        ],
+    )
+    def test_partition_is_counted(self, exists, forall, num_vars):
+        matrix = CnfFormula(num_vars=num_vars, clauses=((1, 2),))
+        with pytest.raises(ValueError, match="partition"):
+            check_qbf(Qbf2Formula(exists, forall, matrix))
+
+    def test_partition_of_a_huge_count_is_refused_fast(self):
+        proc = run_capped(
+            "-c",
+            "from cpnets import CnfFormula, Qbf2Formula, check_qbf\n"
+            "try:\n"
+            "    check_qbf(Qbf2Formula((1,), (2,), CnfFormula(99999999999, ((1, 2),))))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n",
+        )
+        assert (proc.returncode, proc.stdout) == (
+            0,
+            "the blocks must partition the matrix variables\n",
+        ), proc.stderr

@@ -9,6 +9,7 @@ from cpnets import (
     LEMMA_TAGS,
     CnfFormula,
     InstanceTooLarge,
+    MCPNet,
     Qbf2Formula,
     build_graph,
     closure,
@@ -26,7 +27,13 @@ from cpnets import (
     verify_lemma,
 )
 from cpnets.oracle import _flip_sets, _sweep
-from helpers import formula_family, random_formula, random_net, random_profile
+from helpers import (
+    formula_family,
+    random_formula,
+    random_net,
+    random_profile,
+    run_capped,
+)
 
 
 class TestGraph:
@@ -199,6 +206,20 @@ class TestSatEnumerate:
             sat_enumerate(phi, bound=4)
         assert sat_enumerate(phi, {1: True, 2: True}, bound=4)
 
+    def test_bound_is_checked_before_listing_variables(self):
+        proc = run_capped(
+            "-c",
+            "from cpnets import CnfFormula, InstanceTooLarge, sat_enumerate\n"
+            "try:\n"
+            "    sat_enumerate(CnfFormula(99999999999, ((1,),)), {1: True})\n"
+            "except InstanceTooLarge as exc:\n"
+            "    print(exc)\n",
+        )
+        assert (proc.returncode, proc.stdout) == (
+            0,
+            "99999999998 unassigned variables; enumeration is capped at 24\n",
+        ), proc.stderr
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(37)
         for _ in range(60):
@@ -328,3 +349,79 @@ class TestVerifyLemma:
             for agent in nowin_profile.agents
         ]
         assert engine_votes == oracle_votes == [True, True, False, True]
+
+
+SAT_THEN_UNSAT = CnfFormula(2, ((1, -2), (2,)))
+UNSAT = CnfFormula(1, ((1,), (-1,)))
+
+
+class TestClaimFailures:
+    """The failure reports of the pair claims and lemma7, pinned by
+    breaking the enumeration or the graph the claims compare against."""
+
+    @staticmethod
+    def negate_sat(monkeypatch, when=lambda sigma: True):
+        real = cpnets.oracle.sat_enumerate
+
+        def negated(phi, sigma=None, bound=cpnets.oracle.SAT_BOUND):
+            return real(phi, sigma, bound) != when(dict(sigma or {}))
+
+        monkeypatch.setattr(cpnets.oracle, "sat_enumerate", negated)
+
+    @pytest.mark.parametrize(
+        "tag, phi, detail",
+        [
+            ("lemma1", SAT_THEN_UNSAT, "sigma={}: 111100101 should not dominate 000000000"),
+            ("corollary1", SAT_THEN_UNSAT, "111100101 should not dominate 000000000"),
+            ("corollary2", SAT_THEN_UNSAT, "000000000011 should not dominate 000000000000"),
+            ("lemma1", UNSAT, "sigma={}: 110101 should dominate 000000"),
+            ("corollary1", UNSAT, "110101 should dominate 000000"),
+            ("corollary2", UNSAT, "000000011 should dominate 000000000"),
+        ],
+    )
+    def test_pair_claims_under_negated_sat(self, monkeypatch, tag, phi, detail):
+        self.negate_sat(monkeypatch)
+        report = verify_lemma(tag, phi)
+        assert (report.ok, report.checked, report.detail) == (False, 1, detail)
+
+    def test_lemma1_names_the_first_failing_assignment(self, monkeypatch):
+        self.negate_sat(monkeypatch, when=lambda sigma: sigma == {2: False})
+        report = verify_lemma("lemma1", SAT_THEN_UNSAT)
+        assert (report.ok, report.checked, report.detail) == (
+            False,
+            3,
+            "sigma={2: False}: 111100101 should dominate 000100000",
+        )
+
+    @pytest.mark.parametrize(
+        "tag, detail",
+        [
+            ("lemma1", "sigma={}: 000000000 unexpectedly dominates 111100101"),
+            ("corollary1", "000000000 unexpectedly dominates 111100101"),
+            ("corollary2", "000000000000 unexpectedly dominates 000000000011"),
+        ],
+    )
+    def test_reverse_dominance_is_reported(self, monkeypatch, tag, detail):
+        # Swapping the sweep directions makes alpha dominate beta_bar; with
+        # the answer negated too, the first test passes and the second fails.
+        self.negate_sat(monkeypatch)
+        real = cpnets.oracle._sweep
+        monkeypatch.setattr(
+            cpnets.oracle, "_sweep", lambda sets, start, forward: real(sets, start, not forward)
+        )
+        report = verify_lemma(tag, SAT_THEN_UNSAT)
+        assert (report.ok, report.checked, report.detail) == (False, 1, detail)
+
+    @pytest.mark.parametrize(
+        "tops, agents, checked, detail",
+        [
+            ([0, 1], 4, 0, "agent 0 has 2 flip-free outcomes"),
+            ([0], 1, 4, "Pareto optimum set ['11'] but individual optima give ['00']"),
+            ([0], 4, 4, "Pareto optimum set [] but individual optima give ['00']"),
+        ],
+    )
+    def test_lemma7_failures(self, monkeypatch, tops, agents, checked, detail):
+        monkeypatch.setattr(cpnets.oracle, "sinks", lambda graph: list(tops))
+        profile = MCPNet(agents=m_nowin().agents[:agents])
+        report = verify_lemma("lemma7", profile)
+        assert (report.ok, report.checked, report.detail) == (False, checked, detail)

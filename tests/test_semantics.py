@@ -20,6 +20,7 @@ from cpnets import (
     improving_flips,
     incomparable,
     is_optimal,
+    m_nowin,
     ordering_query,
     reach_set,
     replay,
@@ -243,6 +244,13 @@ class TestReplay:
             seq.start, seq.end, (("Ghost", 1, 0),) + seq.steps[1:]
         )
         assert not replay(dinner_net, bad_name)
+
+    @pytest.mark.parametrize("start, end", [(99, 99), (-1, -1), (4, 4), (0, 4)])
+    def test_rejects_outcomes_outside_the_net(self, start, end):
+        net = m_nowin().agents[0]
+        assert net.n == 2
+        assert not replay(net, FlipSequence(start, end, ()))
+        assert replay(net, FlipSequence(3, 3, ()))
 
     def test_rejects_non_improving_step(self, dinner_net):
         seq = FlipSequence(start=MR, end=FR, steps=(("Main", 0, 1),))
