@@ -49,12 +49,12 @@ def _read_text(path: str) -> str:
 
 def _value_names(raw) -> dict[str, tuple[str, str]]:
     """Optional per-feature display names: a two-element 'values' list on a
-    feature entry names its 0 and 1 values for --named parsing."""
+    feature entry names its 0 and 1 values for --named parsing. The raw
+    JSON has already passed net_from_json. A digit may name only its own
+    value, so "0" and "1" keep meaning 0 and 1."""
     names: dict[str, tuple[str, str]] = {}
-    if not isinstance(raw, dict):
-        return names
-    for entry in raw.get("features", []):
-        if not isinstance(entry, dict) or "values" not in entry:
+    for entry in raw["features"]:
+        if "values" not in entry:
             continue
         pair = entry["values"]
         if (
@@ -64,30 +64,30 @@ def _value_names(raw) -> dict[str, tuple[str, str]]:
             or pair[0] == pair[1]
         ):
             raise ValueError(
-                f"feature {entry.get('name')!r} has a malformed 'values' list"
+                f"feature {entry['name']!r} has a malformed 'values' list"
+            )
+        if pair[0] == "1" or pair[1] == "0":
+            raise ValueError(
+                f"feature {entry['name']!r}: a digit in 'values' may name "
+                "only its own value"
             )
         names[entry["name"]] = (pair[0], pair[1])
     return names
 
 
-def _load_net(path: str, check: bool = True):
+def _load(kind: str, path: str):
+    """Read, parse and validate a "net" or "profile" file; returns it with
+    the value names of its features (agent 0's for a profile)."""
     raw = _read_json(path)
-    net = net_from_json(raw)
-    if check:
-        problems = validate_net(net)
-        if problems:
-            raise ValueError("invalid net: " + "; ".join(problems))
-    return net, _value_names(raw)
-
-
-def _load_profile(path: str):
-    raw = _read_json(path)
-    profile = profile_from_json(raw)
-    problems = validate_profile(profile)
+    if kind == "net":
+        target = net_from_json(raw)
+        problems, named = validate_net(target), raw
+    else:
+        target = profile_from_json(raw)
+        problems, named = validate_profile(target), raw["agents"][0]
     if problems:
-        raise ValueError("invalid profile: " + "; ".join(problems))
-    values = _value_names(raw["agents"][0])
-    return profile, values
+        raise ValueError(f"invalid {kind}: " + "; ".join(problems))
+    return target, _value_names(named)
 
 
 def _outcome_arg(
@@ -144,19 +144,18 @@ def _witness_json(seq, n: int) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    net, _ = _load_net(args.net, check=False)
-    problems = validate_net(net)
+    problems = validate_net(net_from_json(_read_json(args.net)))
     return {"answer": not problems, "violations": problems}
 
 
 def _cmd_optimum(args) -> dict:
-    net, _ = _load_net(args.net)
+    net, _ = _load("net", args.net)
     best = semantics.forward_sweep_optimum(net)
     return {"answer": outcome_str(best, net.n)}
 
 
 def _cmd_dominates(args) -> dict:
-    net, values = _load_net(args.net)
+    net, values = _load("net", args.net)
     beta = _outcome_arg(args.beta, net, values, args.named)
     alpha = _outcome_arg(args.alpha, net, values, args.named)
     started = time.perf_counter()
@@ -203,8 +202,7 @@ QUERIES = {
 
 def _cmd_query(args) -> dict:
     kind, outcomes, fn, searches = QUERIES[args.words]
-    load = _load_net if kind == "net" else _load_profile
-    target, values = load(getattr(args, kind))
+    target, values = _load(kind, getattr(args, kind))
     base = target if kind == "net" else target.agents[0]
     points = [
         _outcome_arg(getattr(args, name), base, values, args.named)
@@ -268,7 +266,7 @@ def _cmd_gadget(args) -> dict:
 
 
 def _cmd_oracle_graph(args):
-    net, _ = _load_net(args.net)
+    net, _ = _load("net", args.net)
     graph = oracle.build_graph(net, args.oracle_bound)
     if args.dot:
         return oracle.to_dot(graph)
@@ -282,7 +280,7 @@ def _cmd_oracle_graph(args):
 
 
 def _cmd_oracle_closure(args) -> dict:
-    net, _ = _load_net(args.net)
+    net, _ = _load("net", args.net)
     clo = oracle.closure(oracle.build_graph(net, args.oracle_bound))
     n = net.n
     return {
@@ -298,7 +296,7 @@ def _cmd_oracle_closure(args) -> dict:
 def _cmd_oracle_check(args) -> dict:
     """Compare the search engine against the explicit closure on every
     ordered outcome pair."""
-    net, _ = _load_net(args.net)
+    net, _ = _load("net", args.net)
     clo = oracle.closure(oracle.build_graph(net, args.oracle_bound))
     n = net.n
     for alpha in range(1 << n):
@@ -322,7 +320,7 @@ def _cmd_oracle_verify(args) -> dict:
     elif kind == "cnf":
         instance = _read_cnf(path)
     else:
-        instance, _ = _load_profile(path)
+        instance, _ = _load("profile", path)
     report = oracle.verify_lemma(
         args.lemma,
         instance,

@@ -13,8 +13,9 @@ position k), clause features "D_j", pyramid features "A_5"/"B_3",
 copy suffixes "^a"/"^b", gate features "U1"/"U2".
 
 Both formula nets share one variable, literal and clause layer; the
-summarized net gates it on U1. m_imm returns an MImm, which is an MEml
-with the same fields and outcome helpers.
+summarized net gates it on U1 and is a FormulaNet with a pyramid and two
+gates added. m_imm returns an MImm, which is an MEml with the same fields
+and outcome helpers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from typing import Callable, Mapping, Sequence
 from .model import CPNet, CPTable, MCPNet, check_outcome, net_from_tables, value_at
 
 PartialAssignment = Mapping[int, bool]
+
+# The table of a feature that prefers whatever value its one parent has.
+_FOLLOW = {(1,): 1, (0,): 0}
 
 
 @dataclass
@@ -278,7 +282,7 @@ def direct_net(alpha: int, features: Sequence[str]) -> CPNet:
 
 
 @dataclass
-class SummarizedNet:
+class SummarizedNet(FormulaNet):
     """Formula net variant with two gate features.
 
     U1 is parentless and prefers 1; while U1 is 0 the variable and literal
@@ -289,17 +293,10 @@ class SummarizedNet:
     funneled through two features.
     """
 
-    net: CPNet
-    var_features: tuple[tuple[str, str], ...]
-    literal_features: tuple[tuple[str, ...], ...]
-    clause_features: tuple[str, ...]
     hc_features: tuple[str, ...]
     apex: str
     u1: str = "U1"
     u2: str = "U2"
-
-    def alpha(self, sigma: PartialAssignment | None = None) -> int:
-        return encode_assignment(sigma or {}, self)
 
     def beta_bar(self) -> int:
         """Outcome raising exactly U1 and U2."""
@@ -322,7 +319,7 @@ def summarized_formula_net(
     frag = h_c(clause_features, prefix="A")
     tables.extend(frag.tables[name] for name in frag.features)
     tables.append(CPTable(u1, (), {(): 1}))
-    tables.append(CPTable(u2, (frag.apex,), {(1,): 1, (0,): 0}))
+    tables.append(CPTable(u2, (frag.apex,), _FOLLOW))
     return SummarizedNet(
         net=net_from_tables(tables),
         var_features=tuple(var_names),
@@ -383,35 +380,24 @@ def _suffixed(f: FormulaNet, suffix: str) -> FormulaNet:
 
 def m_ipo(phi: CnfFormula) -> MIpo:
     base = formula_net(phi)
-    copy_a = _suffixed(base, "^a")
-    copy_b = _suffixed(base, "^b")
-    frag_a = h_c(copy_a.clause_features)
-    frag_b = h_c(copy_b.clause_features)
-    universe = (
-        copy_a.net.features + copy_b.net.features + frag_a.features
-    )
-
-    def gate_vars(tables: dict[str, CPTable], pairs, apex: str) -> None:
-        for t, f in pairs:
-            for name in (t, f):
-                tables[name] = CPTable(name, (apex,), {(1,): 1, (0,): 0})
-
-    tables_1 = {**copy_a.net.tables, **copy_b.net.tables, **frag_a.tables}
-    gate_vars(tables_1, copy_b.var_features, frag_a.apex)
-    tables_2 = {**copy_a.net.tables, **copy_b.net.tables, **frag_b.tables}
-    gate_vars(tables_2, copy_a.var_features, frag_b.apex)
-
-    profile = MCPNet(
-        agents=(CPNet(universe, tables_1), CPNet(universe, tables_2))
-    )
+    copy_a, copy_b = _suffixed(base, "^a"), _suffixed(base, "^b")
+    agent_tables = []
+    for watched, gated in ((copy_a, copy_b), (copy_b, copy_a)):
+        # Both pyramids get the same names A_1.., so one universe fits both.
+        frag = h_c(watched.clause_features)
+        tables = {**copy_a.net.tables, **copy_b.net.tables, **frag.tables}
+        for name in (name for pair in gated.var_features for name in pair):
+            tables[name] = CPTable(name, (frag.apex,), _FOLLOW)
+        agent_tables.append(tables)
+    universe = copy_a.net.features + copy_b.net.features + frag.features
     return MIpo(
-        profile=profile,
+        profile=MCPNet(agents=tuple(CPNet(universe, t) for t in agent_tables)),
         var_features_a=copy_a.var_features,
         var_features_b=copy_b.var_features,
         clause_features_a=copy_a.clause_features,
         clause_features_b=copy_b.clause_features,
-        hc_features=frag_a.features,
-        apex=frag_a.apex,
+        hc_features=frag.features,
+        apex=frag.apex,
     )
 
 
@@ -461,17 +447,23 @@ def m_nowin() -> MCPNet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _QbfParts:
-    universe: tuple[str, ...]
-    var_features: tuple[tuple[str, str], ...]
-    summary: SummarizedNet
-    primes: tuple[str, ...]
-    prime_parents: tuple[tuple[str, str], ...]
-    b_fragment: NetFragment
+def _low(names: Sequence[str]) -> dict[str, CPTable]:
+    """One table per name, pinned low: parentless, prefer 0."""
+    return {name: CPTable(name, (), {(): 0}) for name in names}
 
 
-def _qbf_parts(formula: Qbf2Formula) -> _QbfParts:
+def _quantified(
+    formula: Qbf2Formula,
+) -> tuple[
+    tuple[str, ...], tuple[tuple[str, str], ...], dict[str, CPTable], dict[str, CPTable]
+]:
+    """The universe both quantified profiles share, ending in U1 and U2;
+    the variable pairs, V for the exists block and W for the forall block;
+    and two table sets. The flat tables are the summarized net with every
+    prime V_i' and pyramid-B feature pinned low. In the watcher tables
+    everything prefers 0 except that each prime rises over a fully raised
+    variable pair, the disjunctive pyramid B watches the primes and the
+    rest of the machinery, and U1/U2 chain off its apex."""
     check_qbf(formula)
     xpos = {v: i for i, v in enumerate(formula.exists_vars, start=1)}
     ypos = {v: i for i, v in enumerate(formula.forall_vars, start=1)}
@@ -482,8 +474,8 @@ def _qbf_parts(formula: Qbf2Formula) -> _QbfParts:
         else:
             names.append((f"W{ypos[v]}^T", f"W{ypos[v]}^F"))
     summary = summarized_formula_net(formula.matrix, var_names=tuple(names))
+    u1, u2 = summary.u1, summary.u2
     primes = tuple(f"V{i}'" for i in range(1, len(formula.exists_vars) + 1))
-    prime_parents = tuple(names[v - 1] for v in formula.exists_vars)
     w_flat = tuple(
         name for v in formula.forall_vars for name in names[v - 1]
     )
@@ -504,46 +496,16 @@ def _qbf_parts(formula: Qbf2Formula) -> _QbfParts:
         + summary.clause_features
         + summary.hc_features
         + b_fragment.features
-        + (summary.u1, summary.u2)
+        + (u1, u2)
     )
-    return _QbfParts(
-        universe=universe,
-        var_features=tuple(names),
-        summary=summary,
-        primes=primes,
-        prime_parents=prime_parents,
-        b_fragment=b_fragment,
-    )
-
-
-def _low(names: Sequence[str]) -> dict[str, CPTable]:
-    """One table per name, pinned low: parentless, prefer 0."""
-    return {name: CPTable(name, (), {(): 0}) for name in names}
-
-
-def _flat_tables(parts: _QbfParts) -> dict[str, CPTable]:
-    """Agent 1's tables: the summarized net plus every prime and pyramid-B
-    feature pinned low."""
-    return {
-        **parts.summary.net.tables,
-        **_low(parts.primes + parts.b_fragment.features),
-    }
-
-
-def _watcher_tables(parts: _QbfParts) -> dict[str, CPTable]:
-    """Agent 3's tables: everything prefers 0 except that each prime rises
-    over a fully raised variable pair, the disjunctive pyramid watches the
-    primes and the rest of the machinery, and U1/U2 chain off its apex."""
-    summary = parts.summary
-    tables = _low(parts.universe)
-    for prime, pair in zip(parts.primes, parts.prime_parents):
-        tables[prime] = CPTable(prime, pair, _rows(2, all))
-    tables.update(parts.b_fragment.tables)
-    tables[summary.u1] = CPTable(
-        summary.u1, (parts.b_fragment.apex,), {(1,): 1, (0,): 0}
-    )
-    tables[summary.u2] = CPTable(summary.u2, (summary.u1,), {(1,): 1, (0,): 0})
-    return tables
+    flat = {**summary.net.tables, **_low(primes + b_fragment.features)}
+    watcher = _low(universe)
+    for prime, v in zip(primes, formula.exists_vars):
+        watcher[prime] = CPTable(prime, names[v - 1], _rows(2, all))
+    watcher.update(b_fragment.tables)
+    watcher[u1] = CPTable(u1, (b_fragment.apex,), _FOLLOW)
+    watcher[u2] = CPTable(u2, (u1,), _FOLLOW)
+    return universe, tuple(names), flat, watcher
 
 
 @dataclass
@@ -579,52 +541,49 @@ class MImm(MEml):
 
 
 def m_eml(formula: Qbf2Formula) -> MEml:
-    parts = _qbf_parts(formula)
-    summary = parts.summary
-    n1 = _flat_tables(parts)
-    swap = {summary.u1: summary.u2, summary.u2: summary.u1}
-    n2 = _renamed(n1, lambda s: swap.get(s, s))
-    n3 = _watcher_tables(parts)
+    universe, var_features, flat, watcher = _quantified(formula)
+    u1, u2 = universe[-2:]
+    swap = {u1: u2, u2: u1}
+    n2 = _renamed(flat, lambda s: swap.get(s, s))
 
-    n5 = _low(parts.universe)
-    n5[summary.u1] = CPTable(summary.u1, (), {(): 1})
-    n5[summary.u2] = CPTable(summary.u2, (summary.u1,), {(1,): 1, (0,): 0})
+    n5 = _low(universe)
+    n5[u1] = CPTable(u1, (), {(): 1})
+    n5[u2] = CPTable(u2, (u1,), _FOLLOW)
 
     n6: dict[str, CPTable] = {
-        name: CPTable(name, (summary.u2,), {(1,): 0, (0,): 1})
-        for name in parts.universe
-        if name != summary.u2
+        name: CPTable(name, (u2,), {(1,): 0, (0,): 1})
+        for name in universe
+        if name != u2
     }
-    n6[summary.u2] = CPTable(summary.u2, (), {(): 1})
+    n6[u2] = CPTable(u2, (), {(): 1})
 
     agents = tuple(
-        CPNet(parts.universe, t) for t in (n1, n2, n3, n3, n5, n6)
+        CPNet(universe, t) for t in (flat, n2, watcher, watcher, n5, n6)
     )
     return MEml(
         profile=MCPNet(agents=agents),
-        var_features=parts.var_features,
+        var_features=var_features,
         exists_vars=formula.exists_vars,
-        u1=summary.u1,
-        u2=summary.u2,
+        u1=u1,
+        u2=u2,
     )
 
 
 def m_imm(formula: Qbf2Formula) -> MImm:
-    parts = _qbf_parts(formula)
-    summary = parts.summary
-    flat = CPNet(parts.universe, _flat_tables(parts))
-    alpha_bar = flat.mask(summary.u1, summary.u2)
+    universe, var_features, flat, watcher = _quantified(formula)
+    u1, u2 = universe[-2:]
+    flat_net = CPNet(universe, flat)
     agents = (
-        flat,
-        direct_net(alpha_bar, parts.universe),
-        CPNet(parts.universe, _watcher_tables(parts)),
+        flat_net,
+        direct_net(flat_net.mask(u1, u2), universe),
+        CPNet(universe, watcher),
     )
     return MImm(
         profile=MCPNet(agents=agents),
-        var_features=parts.var_features,
+        var_features=var_features,
         exists_vars=formula.exists_vars,
-        u1=summary.u1,
-        u2=summary.u2,
+        u1=u1,
+        u2=u2,
     )
 
 

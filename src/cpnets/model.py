@@ -255,7 +255,7 @@ def validate_net(net: CPNet) -> list[str]:
     for name in sorted(extra):
         problems.append(f"table for unknown feature {name!r}")
 
-    for name in net.features:
+    for name in dict.fromkeys(net.features):
         table = net.tables.get(name)
         if table is None:
             continue

@@ -204,6 +204,42 @@ class TestNamedOutcomes:
         )
         assert (code, payload["answer"]) == (0, True)
 
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            (["1", "0"], "a digit in 'values' may name only its own value"),
+            (["yes", "0"], "a digit in 'values' may name only its own value"),
+            (["1", "no"], "a digit in 'values' may name only its own value"),
+            (["yes"], "malformed 'values' list"),
+            (["yes", 1], "malformed 'values' list"),
+        ],
+        ids=["swapped-digits", "zero-names-one", "one-names-zero", "one-name", "int-name"],
+    )
+    def test_bad_value_names_are_exit_2(self, capsys, tmp_path, values, error):
+        # A prefers 1, so A=1 is optimal: a name must never make it mean 0.
+        raw = {
+            "features": [
+                {"name": "A", "values": values, "parents": [], "cpt": [{"cond": [], "prefer": 1}]}
+            ]
+        }
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(raw))
+        code, payload = run_json(capsys, "is-optimal", str(path), "A=1", "--named")
+        assert code == 2
+        assert error in payload["error"]
+
+    def test_digit_may_name_its_own_value(self, capsys, tmp_path):
+        raw = {
+            "features": [
+                {"name": "A", "values": ["0", "yes"], "parents": [], "cpt": [{"cond": [], "prefer": 1}]}
+            ]
+        }
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(raw))
+        for text in ("A=1", "A=yes"):
+            code, payload = run_json(capsys, "is-optimal", str(path), text, "--named")
+            assert (code, payload["answer"]) == (0, True)
+
     def test_unknown_value(self, capsys, dinner_path):
         code, payload = run_json(
             capsys, "is-optimal", dinner_path, "Main=tofu,Wine=r", "--named"
@@ -304,6 +340,20 @@ class TestVotingCommands:
             capsys, "pareto", "is-optimal", profile_path, "Main=0,Wine=1", "--named"
         )
         assert (code, payload["answer"]) == (0, True)
+
+    def test_invalid_profile_is_exit_2(self, capsys, tmp_path):
+        cyclic = {
+            "name": "A",
+            "parents": ["A"],
+            "cpt": [{"cond": [0], "prefer": 0}, {"cond": [1], "prefer": 1}],
+        }
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps({"agents": [{"features": [cyclic]}]}))
+        code, payload = run_json(capsys, "majority", "is-optimal", str(path), "0")
+        assert code == 2
+        assert payload["error"] == (
+            "invalid profile: agent 0: dependency cycle through features ['A']"
+        )
 
     def test_majority_exists_gate(self, capsys, tmp_path):
         wide = random_profile(random.Random(97), 25, 2)
@@ -538,6 +588,7 @@ class TestOracleCommands:
         ["dominates", "{net}", "00", "11", "--max-states", "0"],
         ["oracle", "graph", "{net}", "--oracle-bound", "-2"],
         ["gadget", "hc", "-m", "0"],
+        ["is-optimal", "{net}", "Main", "--named"],
     ],
     ids=[
         "unknown-command",
@@ -548,6 +599,7 @@ class TestOracleCommands:
         "zero-budget",
         "negative-oracle-bound",
         "zero-pyramid-inputs",
+        "named-chunk-without-equals",
     ],
 )
 def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):

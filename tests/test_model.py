@@ -53,6 +53,13 @@ class TestValidation:
         )
         assert any("duplicate feature" in p for p in validate_net(net))
 
+    def test_duplicate_feature_reports_its_table_once(self):
+        net = CPNet(("A", "A"), {"A": CPTable("A", ("Z",), {(0,): 1, (1,): 0})})
+        assert validate_net(net) == [
+            "duplicate feature name 'A'",
+            "'A' lists unknown parent 'Z'",
+        ]
+
     def test_missing_table(self):
         net = CPNet(
             features=("A", "B"),
@@ -123,6 +130,13 @@ class TestValidation:
     def test_self_loop_is_a_cycle(self):
         net = make_net({"A": (("A",), {(0,): 0, (1,): 1})})
         assert any("cycle" in p for p in validate_net(net))
+
+    def test_profile_violations_name_their_agent(self):
+        good = make_net({"A": ((), {(): 0})})
+        cyclic = make_net({"A": (("A",), {(0,): 0, (1,): 1})})
+        assert validate_profile(MCPNet(agents=(good, cyclic))) == [
+            "agent 1: dependency cycle through features ['A']"
+        ]
 
     def test_random_nets_are_valid(self):
         rng = random.Random(7)
@@ -237,6 +251,19 @@ class TestJson:
     def test_rejects_non_object(self):
         with pytest.raises(ValueError):
             net_from_json([1, 2])
+
+    @pytest.mark.parametrize(
+        "parse, raw, message",
+        [
+            (net_from_json, {"features": "AB"}, "'features' must be a list"),
+            (profile_from_json, [{"features": []}], "must be an object"),
+            (profile_from_json, {"agents": {"0": {}}}, "'agents' must be a list"),
+        ],
+        ids=["net-features-string", "profile-list", "profile-agents-object"],
+    )
+    def test_rejects_wrong_containers(self, parse, raw, message):
+        with pytest.raises(ValueError, match=message):
+            parse(raw)
 
     def test_rejects_missing_fields(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ import cpnets.oracle
 from cpnets import (
     LEMMA_TAGS,
     CnfFormula,
+    CycleError,
+    ExtendedPreferenceGraph,
     InstanceTooLarge,
     MCPNet,
     Qbf2Formula,
@@ -109,6 +111,11 @@ class TestClosure:
         assert not clo.incomparable(0b00, 0b10)
         with pytest.raises(ValueError):
             clo.incomparable(1, 1)
+
+    def test_cyclic_graph_is_refused(self, dinner_net):
+        graph = ExtendedPreferenceGraph(dinner_net, [[1], [0], [], []])
+        with pytest.raises(CycleError, match="improving flips cycle"):
+            closure(graph)
 
     @pytest.mark.parametrize("beta, alpha", [(9, 0), (0, 9), (9, 9), (-1, 0), (0, -1)])
     def test_out_of_range_outcomes_are_refused(self, beta, alpha):
@@ -411,6 +418,20 @@ class TestClaimFailures:
         )
         report = verify_lemma(tag, SAT_THEN_UNSAT)
         assert (report.ok, report.checked, report.detail) == (False, 1, detail)
+
+    @pytest.mark.parametrize(
+        "phi, verb",
+        [(SAT_THEN_UNSAT, "should be"), (UNSAT, "should not be")],
+        ids=["sat", "unsat"],
+    )
+    def test_lemma5_under_negated_sat(self, monkeypatch, phi, verb):
+        self.negate_sat(monkeypatch)
+        report = verify_lemma("lemma5", phi)
+        assert (report.ok, report.checked, report.detail) == (
+            False,
+            1,
+            f"all-zero outcome {verb} Pareto optimal in the two-agent profile",
+        )
 
     @pytest.mark.parametrize(
         "tops, agents, checked, detail",

@@ -252,6 +252,13 @@ class TestReplay:
         assert not replay(net, FlipSequence(start, end, ()))
         assert replay(net, FlipSequence(3, 3, ()))
 
+    def test_rejects_wrong_step_values(self, dinner_net):
+        # 10 -> 00 improves Main from 1 to 0; the labels must say so.
+        assert replay(dinner_net, FlipSequence(0b10, 0b00, (("Main", 1, 0),)))
+        for before, after in ((0, 1), (1, 1), (0, 0)):
+            seq = FlipSequence(0b10, 0b00, (("Main", before, after),))
+            assert not replay(dinner_net, seq)
+
     def test_rejects_non_improving_step(self, dinner_net):
         seq = FlipSequence(start=MR, end=FR, steps=(("Main", 0, 1),))
         assert not replay(dinner_net, seq)
