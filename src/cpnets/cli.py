@@ -77,17 +77,33 @@ def _value_names(raw) -> dict[str, tuple[str, str]]:
 
 def _load(kind: str, path: str):
     """Read, parse and validate a "net" or "profile" file; returns it with
-    the value names of its features (agent 0's for a profile)."""
+    the value names of its features. Every agent of a profile must name
+    each feature's values alike, or leave the feature unnamed alike."""
     raw = _read_json(path)
     if kind == "net":
         target = net_from_json(raw)
-        problems, named = validate_net(target), raw
+        problems = validate_net(target)
     else:
         target = profile_from_json(raw)
-        problems, named = validate_profile(target), raw["agents"][0]
+        problems = validate_profile(target)
     if problems:
         raise ValueError(f"invalid {kind}: " + "; ".join(problems))
-    return target, _value_names(named)
+    if kind == "net":
+        return target, _value_names(raw)
+    names = []
+    for i, agent in enumerate(raw["agents"]):
+        try:
+            names.append(_value_names(agent))
+        except ValueError as exc:
+            raise ValueError(f"agent {i}: {exc}") from None
+    for i, other in enumerate(names[1:], 1):
+        for name in target.features:
+            if other.get(name) != names[0].get(name):
+                raise ValueError(
+                    f"agent {i} names the values of feature {name!r} "
+                    "differently from agent 0"
+                )
+    return target, names[0]
 
 
 def _outcome_arg(

@@ -90,31 +90,13 @@ class CPNet:
         Raises CycleError on a dependency cycle; a parent that is not a
         feature never becomes ready, so it reads as one too.
         """
-        children: list[list[int]] = [[] for _ in self.features]
-        pending = []
-        for j, name in enumerate(self.features):
-            table = self.tables.get(name)
-            parents = table.parents if table else ()
-            pending.append(len(parents))
-            for p in parents:
-                if p in self._index:
-                    children[self._index[p]].append(j)
-        ready = [j for j, k in enumerate(pending) if k == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            j = heapq.heappop(ready)
-            order.append(j)
-            for child in children[j]:
-                pending[child] -= 1
-                if pending[child] == 0:
-                    heapq.heappush(ready, child)
-        if len(order) != self.n:
+        order, pending = _kahn(self, (self,))
+        if order is None:
             stuck = sorted(
                 name for name, k in zip(self.features, pending) if k > 0
             )
             raise CycleError(f"dependency cycle through features {stuck}")
-        return tuple(order)
+        return order
 
     @cached_property
     def ancestors(self) -> tuple[int, ...]:
@@ -192,6 +174,51 @@ class MCPNet:
     @property
     def features(self) -> tuple[str, ...]:
         return self.agents[0].features
+
+    @cached_property
+    def common_order(self) -> tuple[int, ...] | None:
+        """Feature indices in an order that is topological in every agent,
+        ties broken by canonical index, or None when the union of the
+        agents' dependency graphs has a cycle.
+
+        A profile with such an order is O-legal (Lang & Xia, Math. Soc.
+        Sci. 57, 2009). Features before any cut of the order are closed
+        under ancestors in every agent at once, which is what makes the
+        majority shortcuts in voting exact.
+        """
+        return _kahn(self.agents[0], self.agents)[0]
+
+
+def _kahn(
+    universe: CPNet, nets: Sequence[CPNet]
+) -> tuple[tuple[int, ...] | None, list[int]]:
+    """Kahn's algorithm over the union of the nets' parent edges, on the
+    universe's features by canonical index. Returns the parents-first
+    order, ties broken by index, and the parent counts left unmet: they
+    are nonzero exactly on the features a cycle or a parent that is not a
+    feature holds back, and the order is None when any feature is."""
+    index = universe._index
+    children: list[list[int]] = [[] for _ in universe.features]
+    pending = [0] * universe.n
+    for net in nets:
+        for j, name in enumerate(universe.features):
+            table = net.tables.get(name)
+            parents = table.parents if table else ()
+            pending[j] += len(parents)
+            for p in parents:
+                if p in index:
+                    children[index[p]].append(j)
+    ready = [j for j, k in enumerate(pending) if k == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        j = heapq.heappop(ready)
+        order.append(j)
+        for child in children[j]:
+            pending[child] -= 1
+            if pending[child] == 0:
+                heapq.heappush(ready, child)
+    return (tuple(order) if len(order) == universe.n else None), pending
 
 
 def net_from_tables(tables: Sequence[CPTable]) -> CPNet:

@@ -8,9 +8,16 @@ Majority optimality of one outcome is read off one reachability search
 per agent, forward for optimal and backward for optimum, after a flip-vote
 pre-test that rejects most outcomes without any search. Both queries then
 count votes per reached outcome, holding one agent's set at a time, so the
-count is bounded only by max_states. Only the exists_* queries enumerate
-all 2**n outcomes, so only they are gated by feature count (Rossi, Venable
-& Walsh, AAAI 2004, for the semantics).
+count is bounded only by max_states (Rossi, Venable & Walsh, AAAI 2004,
+for the semantics).
+
+When the agents share a topological order (the profile is O-legal,
+MCPNet.common_order), sequential voting has no paradox (Lang & Xia,
+Math. Soc. Sci. 57, 2009). There the pre-test alone decides
+is_majority_optimal, and exists_majority_optimum checks only the
+sequential majority winner. Only exists_majority_optimal, and
+exists_majority_optimum on a profile without a common order, enumerate all
+2**n outcomes, so only they are gated by feature count.
 """
 
 from __future__ import annotations
@@ -213,13 +220,24 @@ def is_majority_optimal(
     alpha, which is {alpha} unless it has an improving flip there. One
     search per such agent and a vote count decide; one set is alive at a
     time, so memory grows with the outcomes reached, never with 2**n.
+
+    With a common order (MCPNet.common_order) the flip-vote pre-test alone
+    decides, because it is complete there. Take any beta and the first
+    feature f, in the common order, where beta differs from alpha. Project
+    an agent's improving path from alpha to beta onto f and the features
+    before it: that set is closed under ancestors in every agent, so the
+    projection is an improving path of its own. The features before f end
+    where they began, and an acyclic net has no improving cycle, so none of
+    them flips; f's parents keep alpha's values and f flips once,
+    improving at alpha. So a majority for beta is also a majority for the
+    one-flip neighbour of alpha at f.
     """
     check_outcome(profile, alpha)
     t = profile.m // 2
     top, movers = _flip_votes(profile, alpha)
     if top > t:
         return False
-    if len(movers) <= t:
+    if len(movers) <= t or profile.common_order is not None:
         return True
     votes: Counter[int] = Counter()
     for net in movers:
@@ -285,5 +303,38 @@ def exists_majority_optimum(
 ) -> tuple[bool, int | None]:
     """The majority optimum, if one exists. At most one outcome can
     qualify: two would have to majority-dominate each other, and the
-    preferring coalitions are disjoint."""
-    return _first_outcome(profile, is_majority_optimum, max_states)
+    preferring coalitions are disjoint.
+
+    With a common order the only candidate is the sequential majority
+    winner, checked by one is_majority_optimum call. A majority optimum
+    beats each of its one-flip neighbours, so at every feature a strict
+    majority prefers its value given its parents' values. The parents come
+    earlier in the common order, so by induction along it the optimum
+    equals the vote's winner. Any tie-break works, because a tie rules out
+    a strict majority. Without a common order this enumerates all 2**n
+    outcomes.
+    """
+    order = profile.common_order
+    if order is None:
+        return _first_outcome(profile, is_majority_optimum, max_states)
+    winner = _sequential_winner(profile, order)
+    if is_majority_optimum(profile, winner, max_states):
+        return True, winner
+    return False, None
+
+
+def _sequential_winner(profile: MCPNet, order: tuple[int, ...]) -> int:
+    """Feature-by-feature majority vote along order: each feature is raised
+    when more than m // 2 agents prefer 1 given the values already chosen.
+    Unvoted features read 0, so order must list each feature's parents
+    before it for the vote to be sequential voting."""
+    t = profile.m // 2
+    winner = 0
+    for j in order:
+        raise_votes = 0
+        for net in profile.agents:
+            relevant, own, triggers = net.rules[j]
+            raise_votes += winner & relevant in triggers
+        if raise_votes > t:
+            winner |= own
+    return winner

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cpnets import CPNet, CPTable, MCPNet, m_nowin, net_from_json
+from cpnets import CPNet, CPTable, MCPNet, m_nowin, net_from_json, profile_from_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -60,3 +60,19 @@ def dinner_profile():
 @pytest.fixture(scope="session")
 def nowin_profile():
     return m_nowin()
+
+
+@pytest.fixture(scope="session")
+def paradox_path():
+    return str(FIXTURES / "paradox.json")
+
+
+@pytest.fixture(scope="session")
+def paradox_profile(paradox_path):
+    """Three agents over X1, X2 that order the two features both ways.
+
+    Agent 0 wants X1 = 0 and X2 = 1, free of each other. Agent 1 wants
+    X1 = 1 and, whatever X1 is, X2 = 0. Agent 2 wants X2 = 1 and X1 to
+    differ from X2.
+    """
+    return profile_from_json(json.loads(Path(paradox_path).read_text()))

@@ -266,6 +266,18 @@ class TestNamedOutcomes:
         assert code == 2
 
 
+def _named_profile(lists):
+    """Agents over one feature A that prefers 1; agent i carries lists[i]
+    as A's 'values', or no 'values' key where lists[i] is None."""
+    agents = []
+    for values in lists:
+        entry = {"name": "A", "parents": [], "cpt": [{"cond": [], "prefer": 1}]}
+        if values is not None:
+            entry["values"] = values
+        agents.append({"features": [entry]})
+    return {"agents": agents}
+
+
 class TestVotingCommands:
     def test_pareto_dominates(self, capsys, profile_path):
         code, payload = run_json(
@@ -305,6 +317,11 @@ class TestVotingCommands:
         )
         assert code == 0
         assert payload == {"answer": True, "witness": "00"}
+
+    def test_majority_exists_optimum_past_a_sequential_paradox(self, capsys, paradox_path):
+        code, payload = run_json(capsys, "majority", "exists-optimum", paradox_path)
+        assert code == 0
+        assert payload == {"answer": True, "witness": "01"}
 
     def test_majority_dominates(self, capsys, profile_path):
         code, payload = run_json(
@@ -354,6 +371,61 @@ class TestVotingCommands:
         assert payload["error"] == (
             "invalid profile: agent 0: dependency cycle through features ['A']"
         )
+
+    @pytest.mark.parametrize(
+        "lists, error",
+        [
+            (
+                [["no", "yes"], ["1", "0"], ["x"]],
+                "agent 1: feature 'A': a digit in 'values' may name only its own value",
+            ),
+            (
+                [["1", "0"], ["no", "yes"], ["x"]],
+                "agent 0: feature 'A': a digit in 'values' may name only its own value",
+            ),
+            (
+                [["no", "yes"], ["no", "yes"], ["x"]],
+                "agent 2: feature 'A' has a malformed 'values' list",
+            ),
+            (
+                [["no", "yes"], ["off", "on"], ["no", "yes"]],
+                "agent 1 names the values of feature 'A' differently from agent 0",
+            ),
+            (
+                [["no", "yes"], None, ["no", "yes"]],
+                "agent 1 names the values of feature 'A' differently from agent 0",
+            ),
+            (
+                [None, None, ["no", "yes"]],
+                "agent 2 names the values of feature 'A' differently from agent 0",
+            ),
+        ],
+        ids=[
+            "bad-list-past-agent-0",
+            "bad-list-on-agent-0",
+            "short-list-past-agent-0",
+            "other-names",
+            "one-agent-unnamed",
+            "agent-0-unnamed",
+        ],
+    )
+    def test_agents_naming_values_apart_is_exit_2(self, capsys, tmp_path, lists, error):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(_named_profile(lists)))
+        code, payload = run_json(
+            capsys, "pareto", "is-optimal", str(path), "A=yes", "--named"
+        )
+        assert code == 2
+        assert payload["error"] == error
+
+    def test_agents_naming_values_alike(self, capsys, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(_named_profile([["no", "yes"]] * 3)))
+        for text in ("A=yes", "A=1"):
+            code, payload = run_json(
+                capsys, "pareto", "is-optimal", str(path), text, "--named"
+            )
+            assert (code, payload["answer"]) == (0, True)
 
     def test_majority_exists_gate(self, capsys, tmp_path):
         wide = random_profile(random.Random(97), 25, 2)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import FrozenInstanceError
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 from cpnets import (
     CPNet,
     CPTable,
+    CnfFormula,
     CycleError,
     MCPNet,
     MAX_PARENTS,
     feature_mask,
     indegree,
+    m_ipo,
+    m_nowin,
     net_from_json,
     net_from_tables,
     net_to_json,
@@ -209,6 +213,58 @@ class TestTopologicalOrder:
                         above.add(p)
                         todo.extend(net.parents(p))
                 assert net.ancestors[j] == net.mask(*above)
+
+
+def topological_in_every_agent(profile, order):
+    pos = {j: k for k, j in enumerate(order)}
+    return all(
+        pos[net.index(p)] < pos[j]
+        for net in profile.agents
+        for j, name in enumerate(net.features)
+        for p in net.parents(name)
+    )
+
+
+class TestCommonOrder:
+    def test_unshuffled_random_profiles_have_one(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            profile = random_profile(rng, rng.randint(1, 10), rng.randint(1, 5))
+            assert profile.common_order is not None
+            assert topological_in_every_agent(profile, profile.common_order)
+
+    def test_profiles_ordering_features_both_ways_have_none(self, dinner_profile):
+        phi = CnfFormula(num_vars=1, clauses=((1,),))
+        for profile in (dinner_profile, m_nowin(), m_ipo(phi).profile):
+            assert profile.common_order is None
+
+    def test_edge_in_one_agent_only(self):
+        free = {"A": ((), {(): 0}), "B": ((), {(): 1})}
+        for child, parent, order in (("B", "A", (0, 1)), ("A", "B", (1, 0))):
+            edge = {**free, child: ((parent,), {(0,): 0, (1,): 1})}
+            profile = MCPNet(agents=(make_net(edge), make_net(free)))
+            assert profile.common_order == order
+            assert profile.common_order is profile.common_order
+
+    def test_none_exactly_when_no_order_fits_every_agent(self):
+        # Shuffled agents need not share an order; check against every
+        # permutation of the features.
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            profile = random_profile(rng, n, rng.randint(1, 4), shuffle=True)
+            order = profile.common_order
+            fits = any(
+                topological_in_every_agent(profile, p)
+                for p in permutations(range(n))
+            )
+            assert (order is not None) == fits
+            if order is not None:
+                assert sorted(order) == list(range(n))
+                assert topological_in_every_agent(profile, order)
+            seen.add(fits)
+        assert seen == {True, False}
 
 
 class TestOutcomes:

@@ -27,6 +27,7 @@ from cpnets import (
     pareto_dominates,
     value_at,
 )
+from cpnets import voting
 from helpers import majority_dominators, random_net, random_profile
 
 MR, MW, FR, FW = 0b00, 0b01, 0b10, 0b11
@@ -229,36 +230,44 @@ class TestDefinitions:
             assert not part.opposes & part.incomparables
 
 
+def check_majority_queries_against_oracle(rng, shuffle):
+    for k in range(36):
+        n, m = rng.randint(1, 7), 1 + k % 6
+        profile = random_profile(rng, n, m, shuffle=shuffle)
+        if k % 2:
+            # A majority of identical agents plants a majority optimum.
+            base = profile.agents[0]
+            agents = (base,) * (m // 2 + 1) + profile.agents[m // 2 + 1:]
+            profile = MCPNet(agents=agents)
+        beaten_by = majority_dominators(profile)
+        size = 1 << n
+        optimal = [a for a in range(size) if beaten_by[a] == 0]
+        optimum = [
+            a
+            for a in range(size)
+            if all((beaten_by[b] >> a) & 1 for b in range(size) if b != a)
+        ]
+        for a in range(size):
+            assert is_majority_optimal(profile, a) == (a in optimal)
+            assert is_majority_optimum(profile, a) == (a in optimum)
+        for found, exists in (
+            (optimal, exists_majority_optimal),
+            (optimum, exists_majority_optimum),
+        ):
+            expected = (True, found[0]) if found else (False, None)
+            assert exists(profile) == expected
+
+
 class TestMajorityModes:
     def test_all_four_queries_match_oracle_vote_count(self):
-        rng = random.Random(73)
-        for k in range(36):
-            n, m = rng.randint(1, 7), 1 + k % 6
-            # Agents without a shared topological order, so that the flip
-            # pre-test alone cannot settle is_majority_optimal.
-            profile = random_profile(rng, n, m, shuffle=True)
-            if k % 2:
-                # A majority of identical agents plants a majority optimum.
-                base = profile.agents[0]
-                agents = (base,) * (m // 2 + 1) + profile.agents[m // 2 + 1:]
-                profile = MCPNet(agents=agents)
-            beaten_by = majority_dominators(profile)
-            size = 1 << n
-            optimal = [a for a in range(size) if beaten_by[a] == 0]
-            optimum = [
-                a
-                for a in range(size)
-                if all((beaten_by[b] >> a) & 1 for b in range(size) if b != a)
-            ]
-            for a in range(size):
-                assert is_majority_optimal(profile, a) == (a in optimal)
-                assert is_majority_optimum(profile, a) == (a in optimum)
-            for found, exists in (
-                (optimal, exists_majority_optimal),
-                (optimum, exists_majority_optimum),
-            ):
-                expected = (True, found[0]) if found else (False, None)
-                assert exists(profile) == expected
+        # Agents without a shared topological order, so that the flip
+        # pre-test alone cannot settle is_majority_optimal.
+        check_majority_queries_against_oracle(random.Random(73), shuffle=True)
+
+    def test_o_legal_queries_match_oracle_vote_count(self):
+        # Agents sharing the canonical order: the pre-test and the
+        # sequential winner decide.
+        check_majority_queries_against_oracle(random.Random(71), shuffle=False)
 
     def test_majority_optimum_vote_count_past_size_cutoff(self):
         # Near misses: every one-flip neighbour loses to alpha by majority,
@@ -336,9 +345,19 @@ class TestMajorityModes:
     def test_size_gate(self):
         rng = random.Random(89)
         wide = random_profile(rng, 25, 2)
-        for op in (exists_majority_optimal, exists_majority_optimum):
-            with pytest.raises(InstanceTooLarge):
-                op(wide)
+        with pytest.raises(InstanceTooLarge):
+            exists_majority_optimal(wide)
+        # exists_majority_optimum scans all outcomes only without a common
+        # order; with one it checks the sequential winner alone.
+        tangled = random_profile(random.Random(91), 25, 2, shuffle=True)
+        assert tangled.common_order is None
+        with pytest.raises(InstanceTooLarge):
+            exists_majority_optimum(tangled)
+        assert wide.common_order is not None
+        found, winner = exists_majority_optimum(wide)
+        assert found == (winner is not None)
+        if found:
+            assert is_majority_optimum(wide, winner)
         # is_* enumerate nothing, so 30 features are answered directly.
         n, shared = 30, rng.randrange(1 << 30)
         agents = []
@@ -355,6 +374,21 @@ class TestMajorityModes:
         assert is_majority_optimal(profile, shared)
         assert not is_majority_optimal(profile, shared ^ 1)
         assert not is_majority_optimum(profile, shared ^ 1)
+
+    def test_paradox_needs_the_o_legality_check(self, paradox_profile):
+        profile = paradox_profile
+        # Agent 1 puts X1 first, agent 2 puts X2 first.
+        assert [net.topo_order for net in profile.agents[1:]] == [(0, 1), (1, 0)]
+        assert profile.common_order is None
+        # A vote along agent 0's order raises X1 (agents 1 and 2) and then
+        # X2 (agents 0 and 2), yet 01 beats every other outcome.
+        order = profile.agents[0].topo_order
+        assert voting._sequential_winner(profile, order) == 0b11
+        beaten_by = majority_dominators(profile)
+        assert [(row >> 0b01) & 1 for row in beaten_by] == [1, 0, 1, 1]
+        assert is_majority_optimum(profile, 0b01)
+        assert exists_majority_optimum(profile) == (True, 0b01)
+        assert exists_majority_optimal(profile) == (True, 0b01)
 
     def test_agents_over_differing_features_are_refused(self):
         # Agents over 3 and 5 features: no query may answer for them.
