@@ -272,11 +272,20 @@ GADGETS = {
 }
 
 
+def _refuse_unread(what: str, args, options, read) -> None:
+    """Passing an option the command does not read is a usage error."""
+    for option in options:
+        if option != read and getattr(args, option.lstrip("-")) is not None:
+            raise ValueError(f"{what} does not take {option}")
+
+
 def _cmd_gadget(args) -> dict:
     option, build = GADGETS[args.kind]
     value = option and getattr(args, option.lstrip("-"))
     if option and not value:
         raise ValueError(f"gadget {args.kind} needs {option}")
+    options = [other for other, _ in GADGETS.values() if other]
+    _refuse_unread(f"gadget {args.kind}", args, options, option)
     built = build(value)
     return profile_to_json(built) if isinstance(built, MCPNet) else net_to_json(built)
 
@@ -311,14 +320,18 @@ def _cmd_oracle_closure(args) -> dict:
 
 def _cmd_oracle_check(args) -> dict:
     """Compare the search engine against the explicit closure on every
-    ordered outcome pair."""
+    ordered outcome pair: a row agrees when the engine reaches as many
+    outcomes as the closure holds and each of them is in it."""
     net, _ = _load("net", args.net)
     clo = oracle.closure(oracle.build_graph(net, args.oracle_bound))
     n = net.n
-    for alpha in range(1 << n):
-        engine = semantics.reach_set(net, alpha, args.max_states) - {alpha}
-        wrong = engine.symmetric_difference(oracle.members(clo.reach[alpha]))
-        if wrong:
+    for alpha, row in enumerate(clo.reach):
+        engine = semantics.reach_set(net, alpha)
+        engine.discard(alpha)
+        if len(engine) != row.bit_count() or any(
+            not (row >> u) & 1 for u in engine
+        ):
+            wrong = engine.symmetric_difference(oracle.members(row))
             return {
                 "answer": False,
                 "detail": f"disagreement on {outcome_str(min(wrong), n)} "
@@ -330,6 +343,8 @@ def _cmd_oracle_check(args) -> dict:
 
 def _cmd_oracle_verify(args) -> dict:
     kind = oracle.CLAIMS[args.lemma][0]
+    options = [f"--{other}" for other, _, _ in oracle.CLAIMS.values()]
+    _refuse_unread(f"oracle verify --lemma {args.lemma}", args, options, f"--{kind}")
     path = getattr(args, kind)
     if path is None:
         instance = None
@@ -337,12 +352,7 @@ def _cmd_oracle_verify(args) -> dict:
         instance = _read_cnf(path)
     else:
         instance, _ = _load("profile", path)
-    report = oracle.verify_lemma(
-        args.lemma,
-        instance,
-        bound=args.oracle_bound,
-        max_states=args.max_states,
-    )
+    report = oracle.verify_lemma(args.lemma, instance, bound=args.oracle_bound)
     return {"answer": report.ok, "checked": report.checked, "detail": report.detail}
 
 
@@ -362,11 +372,11 @@ def _bound(text: str) -> int:
     return value
 
 
-def _add_max_states(p: argparse.ArgumentParser, default: int = DEFAULT_MAX_STATES):
+def _add_max_states(p: argparse.ArgumentParser):
     p.add_argument(
         "--max-states",
         type=_bound,
-        default=default,
+        default=DEFAULT_MAX_STATES,
         help="abort any flip search visiting more than this many outcomes",
     )
 
@@ -453,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = oq.add_parser("check", help="engine vs closure on all ordered pairs")
     p.add_argument("net")
     p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
-    _add_max_states(p)
     p.set_defaults(handler=_cmd_oracle_check)
 
     p = oq.add_parser("verify", help="check a named claim on an instance")
@@ -461,7 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", help="DIMACS file for formula claims")
     p.add_argument("--profile", help="profile JSON for profile claims")
     p.add_argument("--oracle-bound", type=_bound, default=oracle.ORACLE_BOUND)
-    _add_max_states(p, default=oracle.VERIFY_MAX_STATES)
     p.set_defaults(handler=_cmd_oracle_verify)
 
     return parser

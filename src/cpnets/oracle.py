@@ -213,22 +213,19 @@ def closure(graph: ExtendedPreferenceGraph) -> DominanceClosure:
 # ---------------------------------------------------------------------------
 
 
-def sat_enumerate(
-    phi: CnfFormula,
-    sigma: PartialAssignment | None = None,
-    bound: int = SAT_BOUND,
-) -> bool:
+def sat_enumerate(phi: CnfFormula, sigma: PartialAssignment | None = None) -> bool:
     """True when some total assignment extending sigma satisfies phi,
-    by trying every completion of the unassigned variables."""
+    by trying every completion of the unassigned variables. Refuses more
+    than SAT_BOUND unassigned variables."""
     check_formula(phi)
     fixed = dict(sigma) if sigma else {}
     for var in fixed:
         if not 1 <= var <= phi.num_vars:
             raise ValueError(f"assignment mentions unknown variable {var}")
     unassigned = phi.num_vars - len(fixed)
-    if unassigned > bound:
+    if unassigned > SAT_BOUND:
         raise InstanceTooLarge(
-            f"{unassigned} unassigned variables; enumeration is capped at {bound}"
+            f"{unassigned} unassigned variables; enumeration is capped at {SAT_BOUND}"
         )
     free = [v for v in range(1, phi.num_vars + 1) if v not in fixed]
     values = dict(fixed)
@@ -243,19 +240,20 @@ def sat_enumerate(
     return False
 
 
-def qbf2_enumerate(formula: Qbf2Formula, bound: int = SAT_BOUND) -> bool:
+def qbf2_enumerate(formula: Qbf2Formula) -> bool:
     """Decide exists X for all Y not matrix(X, Y): true when some
     assignment to the exists block leaves the matrix unsatisfiable no
-    matter how the forall block is completed."""
+    matter how the forall block is completed. Refuses an exists block of
+    more than SAT_BOUND variables."""
     check_qbf(formula)
     xs = list(formula.exists_vars)
-    if len(xs) > bound:
+    if len(xs) > SAT_BOUND:
         raise InstanceTooLarge(
-            f"{len(xs)} exists variables; enumeration is capped at {bound}"
+            f"{len(xs)} exists variables; enumeration is capped at {SAT_BOUND}"
         )
     for bits in range(1 << len(xs)):
         sigma = {v: bool((bits >> i) & 1) for i, v in enumerate(xs)}
-        if not sat_enumerate(formula.matrix, sigma, bound=bound):
+        if not sat_enumerate(formula.matrix, sigma):
             return True
     return False
 
@@ -263,9 +261,6 @@ def qbf2_enumerate(formula: Qbf2Formula, bound: int = SAT_BOUND) -> bool:
 # ---------------------------------------------------------------------------
 # Lemma verification
 # ---------------------------------------------------------------------------
-
-VERIFY_MAX_STATES = 1 << 22
-
 
 @dataclass
 class LemmaReport:
@@ -275,9 +270,7 @@ class LemmaReport:
     detail: str = ""
 
 
-def _verify_pairs(
-    build, every_sigma: bool, phi: CnfFormula, bound: int, max_states: int
-):
+def _verify_pairs(build, every_sigma: bool, phi: CnfFormula, bound: int):
     """The formula-net claims: in build(phi), beta_bar dominates
     alpha(sigma) exactly when phi is satisfiable under sigma, and
     alpha(sigma) never dominates beta_bar, so the negative case is
@@ -304,19 +297,21 @@ def _verify_pairs(
     return checked, None
 
 
-def _verify_lemma5(phi: CnfFormula, bound: int, max_states: int):
+def _verify_lemma5(phi: CnfFormula, bound: int):
+    """The engine's Pareto search under its own default budget: the
+    gadget is not an explicit graph, so bound does not apply."""
     from .voting import is_pareto_optimal
 
     gadget = m_ipo(phi)
     expected = not sat_enumerate(phi)
-    actual = is_pareto_optimal(gadget.profile, 0, max_states=max_states)
+    actual = is_pareto_optimal(gadget.profile, 0)
     if actual == expected:
         return 1, None
     verb = "should be" if expected else "should not be"
     return 1, f"all-zero outcome {verb} Pareto optimal in the two-agent profile"
 
 
-def _verify_lemma7(profile: MCPNet, bound: int, max_states: int):
+def _verify_lemma7(profile: MCPNet, bound: int):
     graphs = [build_graph(agent, bound) for agent in profile.agents]
     optima = []
     for i, graph in enumerate(graphs):
@@ -340,7 +335,7 @@ def _verify_lemma7(profile: MCPNet, bound: int, max_states: int):
     return size, f"Pareto optimum set {have} but individual optima give {want}"
 
 
-def _verify_theorem_nowin(profile: MCPNet, bound: int, max_states: int):
+def _verify_theorem_nowin(profile: MCPNet, bound: int):
     closures = [closure(build_graph(agent, bound)) for agent in profile.agents]
     size = 1 << profile.n
     threshold = profile.m // 2
@@ -358,8 +353,8 @@ def _verify_theorem_nowin(profile: MCPNet, bound: int, max_states: int):
 
 # Claim tag -> (the instance kind it takes, "cnf" for a CnfFormula or
 # "profile" for an MCPNet; its check; a builder for the default instance, or
-# None when the instance is required). A check takes (instance, bound,
-# max_states) and returns the cases checked and a failure message or None.
+# None when the instance is required). A check takes (instance, bound) and
+# returns the cases checked and a failure message or None.
 CLAIMS = {
     "corollary1": ("cnf", partial(_verify_pairs, formula_net, False), None),
     "lemma1": ("cnf", partial(_verify_pairs, formula_net, True), None),
@@ -372,13 +367,7 @@ LEMMA_TAGS = tuple(CLAIMS)
 _INSTANCE_TYPES = {"cnf": CnfFormula, "profile": MCPNet}
 
 
-def verify_lemma(
-    tag: str,
-    instance=None,
-    *,
-    bound: int = ORACLE_BOUND,
-    max_states: int = VERIFY_MAX_STATES,
-) -> LemmaReport:
+def verify_lemma(tag: str, instance=None, *, bound: int = ORACLE_BOUND) -> LemmaReport:
     """Check one of the package's satisfiability-to-preference claims on a
     concrete instance against pure enumeration.
 
@@ -396,7 +385,7 @@ def verify_lemma(
         instance = default()
     if not isinstance(instance, _INSTANCE_TYPES[kind]):
         raise ValueError(f"{tag} needs a {kind} instance")
-    checked, failure = check(instance, bound, max_states)
+    checked, failure = check(instance, bound)
     return LemmaReport(
         tag=tag, ok=failure is None, checked=checked, detail=failure or "pass"
     )

@@ -597,6 +597,12 @@ class TestOracleCommands:
             # or that never reaches 00, disagrees with the closure.
             (lambda reached: reached | {0b11}, "disagreement on 11 above 00"),
             (lambda reached: reached - {0b00}, "disagreement on 00 above 01"),
+            # 11 reaches 01 and 00; swapping 00 for 10 keeps the count, so
+            # only the membership test catches it.
+            (
+                lambda reached: reached ^ {0b00, 0b10} if len(reached) == 3 else reached,
+                "disagreement on 00 above 11",
+            ),
         ],
     )
     def test_check_names_disagreement(
@@ -606,7 +612,7 @@ class TestOracleCommands:
         monkeypatch.setattr(
             cpnets.semantics,
             "reach_set",
-            lambda net, alpha, max_states: edit(reach_set(net, alpha, max_states)),
+            lambda net, alpha: edit(reach_set(net, alpha)),
         )
         code, payload = run_json(capsys, "oracle", "check", dinner_path)
         assert code == 0
@@ -649,6 +655,44 @@ class TestOracleCommands:
         assert code == 2
 
 
+# A valid value for each input option of `gadget` and `oracle verify`. An
+# option the chosen gadget or claim does not read is refused, so each
+# (id, argv) row below would otherwise be answered with exit code 0.
+_INPUTS = {
+    "--cnf": "{cnf}",
+    "--qbf": "{qbf}",
+    "--outcome": "101",
+    "-m": "3",
+    "--profile": "{profile}",
+}
+
+
+def _given(option):
+    return [option, _INPUTS[option]] if option else []
+
+
+_UNREAD_OPTIONS = [
+    (
+        f"gadget-{kind}-{other.lstrip('-')}",
+        ["gadget", kind, *_given(option), *_given(other)],
+    )
+    for kind, (option, _) in cli.GADGETS.items()
+    for other in ("--cnf", "--qbf", "--outcome", "-m")
+    if other != option
+] + [
+    (
+        f"verify-{tag}-{other}",
+        [
+            "oracle", "verify", "--lemma", tag,
+            *_given(None if default else f"--{kind}"), *_given(f"--{other}"),
+        ],
+    )
+    for tag, (kind, _, default) in cpnets.oracle.CLAIMS.items()
+    for other in ("cnf", "profile")
+    if other != kind
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -661,6 +705,9 @@ class TestOracleCommands:
         ["oracle", "graph", "{net}", "--oracle-bound", "-2"],
         ["gadget", "hc", "-m", "0"],
         ["is-optimal", "{net}", "Main", "--named"],
+        ["oracle", "check", "{net}", "--max-states", "5"],
+        ["oracle", "verify", "--lemma", "theorem_nowin", "--max-states", "5"],
+        *(argv for _, argv in _UNREAD_OPTIONS),
     ],
     ids=[
         "unknown-command",
@@ -672,10 +719,16 @@ class TestOracleCommands:
         "negative-oracle-bound",
         "zero-pyramid-inputs",
         "named-chunk-without-equals",
+        "oracle-check-max-states",
+        "oracle-verify-max-states",
+        *(name for name, _ in _UNREAD_OPTIONS),
     ],
 )
-def test_usage_errors_are_json_exit_2(capsys, dinner_path, argv):
-    argv = [word.format(net=dinner_path) for word in argv]
+def test_usage_errors_are_json_exit_2(
+    capsys, dinner_path, cnf_path, qbf_path, profile_path, argv
+):
+    paths = dict(net=dinner_path, cnf=cnf_path, qbf=qbf_path, profile=profile_path)
+    argv = [word.format(**paths) for word in argv]
     code, payload = run_json(capsys, *argv)
     assert code == 2
     assert payload["error"]

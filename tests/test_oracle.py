@@ -7,6 +7,7 @@ import pytest
 import cpnets.oracle
 from cpnets import (
     LEMMA_TAGS,
+    SAT_BOUND,
     CnfFormula,
     CycleError,
     ExtendedPreferenceGraph,
@@ -208,10 +209,12 @@ class TestSatEnumerate:
             sat_enumerate(phi, {3: True})
 
     def test_bound(self):
-        phi = CnfFormula(num_vars=5, clauses=((1, 2, 3),))
+        # Only unassigned variables count: two past SAT_BOUND are refused,
+        # and with two assigned the formula holds at the first completion.
+        phi = CnfFormula(num_vars=SAT_BOUND + 2, clauses=((1, 2, 3),))
         with pytest.raises(InstanceTooLarge):
-            sat_enumerate(phi, bound=4)
-        assert sat_enumerate(phi, {1: True, 2: True}, bound=4)
+            sat_enumerate(phi)
+        assert sat_enumerate(phi, {1: True, 2: True})
 
     def test_bound_is_checked_before_listing_variables(self):
         proc = run_capped(
@@ -275,12 +278,13 @@ class TestQbf2Enumerate:
         assert not qbf2_enumerate(formula)
 
     def test_bound(self):
+        n = SAT_BOUND + 1
         formula = Qbf2Formula(
-            exists_vars=(1, 2, 3), forall_vars=(4,),
-            matrix=CnfFormula(num_vars=4, clauses=((1, 2),)),
+            exists_vars=tuple(range(1, n + 1)), forall_vars=(n + 1,),
+            matrix=CnfFormula(num_vars=n + 1, clauses=((1, 2),)),
         )
         with pytest.raises(InstanceTooLarge):
-            qbf2_enumerate(formula, bound=2)
+            qbf2_enumerate(formula)
 
 
 class TestVerifyLemma:
@@ -370,8 +374,8 @@ class TestClaimFailures:
     def negate_sat(monkeypatch, when=lambda sigma: True):
         real = cpnets.oracle.sat_enumerate
 
-        def negated(phi, sigma=None, bound=cpnets.oracle.SAT_BOUND):
-            return real(phi, sigma, bound) != when(dict(sigma or {}))
+        def negated(phi, sigma=None):
+            return real(phi, sigma) != when(dict(sigma or {}))
 
         monkeypatch.setattr(cpnets.oracle, "sat_enumerate", negated)
 
