@@ -164,12 +164,6 @@ def _cmd_validate(args) -> dict:
     return {"answer": not problems, "violations": problems}
 
 
-def _cmd_optimum(args) -> dict:
-    net, _ = _load("net", args.net)
-    best = semantics.forward_sweep_optimum(net)
-    return {"answer": outcome_str(best, net.n)}
-
-
 def _cmd_dominates(args) -> dict:
     net, values = _load("net", args.net)
     beta = _outcome_arg(args.beta, net, values, args.named)
@@ -189,8 +183,10 @@ def _cmd_dominates(args) -> dict:
 # Command words -> (input kind, outcome arguments in call order, library
 # function, whether it searches). The input kind names the positional file
 # argument, "net" or "profile". A searching function takes max_states last;
-# the function answers with a bool or an (answer, outcome or None) pair.
+# the function answers with a bool, an outcome, or an (answer, outcome or
+# None) pair.
 QUERIES = {
+    ("optimum",): ("net", (), semantics.forward_sweep_optimum, False),
     ("is-optimal",): ("net", ("outcome",), semantics.is_optimal, False),
     ("incomparable",): ("net", ("a", "b"), semantics.incomparable, True),
     ("pareto", "dominates"):
@@ -228,6 +224,8 @@ def _cmd_query(args) -> dict:
     result = fn(target, *points, *budget)
     if isinstance(result, bool):
         return {"answer": result}
+    if isinstance(result, int):
+        return {"answer": outcome_str(result, target.n)}
     ok, witness = result
     return {
         "answer": ok,
@@ -251,10 +249,8 @@ def _pyramid(build, m: int) -> CPNet:
 
 
 def _direct(bits: str) -> CPNet:
-    if any(c not in "01" for c in bits):
-        raise ValueError("--outcome must be a nonempty bitstring")
     features = [f"X{i}" for i in range(1, len(bits) + 1)]
-    return gadgets.direct_net(int(bits, 2), features)
+    return gadgets.direct_net(parse_outcome(bits, len(bits)), features)
 
 
 # Gadget kind -> (the option it reads, or None; its builder, which takes
@@ -408,10 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a net's structural invariants")
     p.add_argument("net")
     p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("optimum", help="the unique optimum of an acyclic net")
-    p.add_argument("net")
-    p.set_defaults(handler=_cmd_optimum)
 
     p = sub.add_parser("dominates", help="does beta dominate alpha")
     p.add_argument("net")

@@ -31,6 +31,9 @@ PartialAssignment = Mapping[int, bool]
 # The table of a feature that prefers whatever value its one parent has.
 _FOLLOW = {(1,): 1, (0,): 0}
 
+# The gate features of the summarized net and the quantified profiles.
+U1, U2 = "U1", "U2"
+
 
 @dataclass
 class CnfFormula:
@@ -153,9 +156,14 @@ def _formula_layers(
     return tables, tuple(literal_features), clause_features
 
 
+def _var_pairs(letter: str, count: int) -> tuple[tuple[str, str], ...]:
+    """The name pairs (letter{i}^T, letter{i}^F) for i = 1..count."""
+    return tuple((f"{letter}{i}^T", f"{letter}{i}^F") for i in range(1, count + 1))
+
+
 def formula_net(phi: CnfFormula) -> FormulaNet:
     check_formula(phi)
-    var_features = tuple((f"V{i}^T", f"V{i}^F") for i in range(1, phi.num_vars + 1))
+    var_features = _var_pairs("V", phi.num_vars)
     tables, literal_features, clause_features = _formula_layers(phi, var_features)
     return FormulaNet(
         net=net_from_tables(tables),
@@ -295,12 +303,12 @@ class SummarizedNet(FormulaNet):
 
     hc_features: tuple[str, ...]
     apex: str
-    u1: str = "U1"
-    u2: str = "U2"
+    u1 = U1
+    u2 = U2
 
     def beta_bar(self) -> int:
         """Outcome raising exactly U1 and U2."""
-        return self.net.mask(self.u1, self.u2)
+        return self.net.mask(U1, U2)
 
 
 def summarized_formula_net(
@@ -309,17 +317,14 @@ def summarized_formula_net(
 ) -> SummarizedNet:
     check_formula(phi)
     if var_names is None:
-        var_names = tuple((f"V{i}^T", f"V{i}^F") for i in range(1, phi.num_vars + 1))
+        var_names = _var_pairs("V", phi.num_vars)
     if len(var_names) != phi.num_vars:
         raise ValueError("need one name pair per variable")
-    u1, u2 = "U1", "U2"
-    tables, literal_features, clause_features = _formula_layers(
-        phi, var_names, (u1,)
-    )
+    tables, literal_features, clause_features = _formula_layers(phi, var_names, (U1,))
     frag = h_c(clause_features, prefix="A")
     tables.extend(frag.tables[name] for name in frag.features)
-    tables.append(CPTable(u1, (), {(): 1}))
-    tables.append(CPTable(u2, (frag.apex,), _FOLLOW))
+    tables.append(CPTable(U1, (), {(): 1}))
+    tables.append(CPTable(U2, (frag.apex,), _FOLLOW))
     return SummarizedNet(
         net=net_from_tables(tables),
         var_features=tuple(var_names),
@@ -418,28 +423,18 @@ def m_nowin() -> MCPNet:
     profile has no majority optimal (and hence no majority optimum)
     outcome.
     """
-    feats = ("A", "B")
-
-    def net(a_table: CPTable, b_table: CPTable) -> CPNet:
-        return CPNet(feats, {"A": a_table, "B": b_table})
-
-    n1 = net(
-        CPTable("A", (), {(): 1}),
-        CPTable("B", ("A",), {(0,): 0, (1,): 1}),
+    a_high, a_low, b_high, b_low = (
+        CPTable(name, (), {(): v}) for name in "AB" for v in (1, 0)
     )
-    n2 = net(
-        CPTable("A", ("B",), {(0,): 1, (1,): 0}),
-        CPTable("B", (), {(): 0}),
+    a_against_b = CPTable("A", ("B",), {(0,): 1, (1,): 0})
+    b_follows_a = CPTable("B", ("A",), _FOLLOW)
+    agents = (
+        (a_high, b_follows_a),
+        (a_against_b, b_low),
+        (a_low, b_follows_a),
+        (a_against_b, b_high),
     )
-    n3 = net(
-        CPTable("A", (), {(): 0}),
-        CPTable("B", ("A",), {(0,): 0, (1,): 1}),
-    )
-    n4 = net(
-        CPTable("A", ("B",), {(0,): 1, (1,): 0}),
-        CPTable("B", (), {(): 1}),
-    )
-    return MCPNet(agents=(n1, n2, n3, n4))
+    return MCPNet(agents=tuple(map(net_from_tables, agents)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +460,10 @@ def _quantified(
     variable pair, the disjunctive pyramid B watches the primes and the
     rest of the machinery, and U1/U2 chain off its apex."""
     check_qbf(formula)
-    xpos = {v: i for i, v in enumerate(formula.exists_vars, start=1)}
-    ypos = {v: i for i, v in enumerate(formula.forall_vars, start=1)}
-    names = []
-    for v in range(1, formula.matrix.num_vars + 1):
-        if v in xpos:
-            names.append((f"V{xpos[v]}^T", f"V{xpos[v]}^F"))
-        else:
-            names.append((f"W{ypos[v]}^T", f"W{ypos[v]}^F"))
-    summary = summarized_formula_net(formula.matrix, var_names=tuple(names))
-    u1, u2 = summary.u1, summary.u2
+    pairs = dict(zip(formula.exists_vars, _var_pairs("V", len(formula.exists_vars))))
+    pairs.update(zip(formula.forall_vars, _var_pairs("W", len(formula.forall_vars))))
+    names = tuple(pairs[v] for v in range(1, formula.matrix.num_vars + 1))
+    summary = summarized_formula_net(formula.matrix, var_names=names)
     primes = tuple(f"V{i}'" for i in range(1, len(formula.exists_vars) + 1))
     w_flat = tuple(
         name for v in formula.forall_vars for name in names[v - 1]
@@ -496,16 +485,16 @@ def _quantified(
         + summary.clause_features
         + summary.hc_features
         + b_fragment.features
-        + (u1, u2)
+        + (U1, U2)
     )
     flat = {**summary.net.tables, **_low(primes + b_fragment.features)}
     watcher = _low(universe)
     for prime, v in zip(primes, formula.exists_vars):
         watcher[prime] = CPTable(prime, names[v - 1], _rows(2, all))
     watcher.update(b_fragment.tables)
-    watcher[u1] = CPTable(u1, (b_fragment.apex,), _FOLLOW)
-    watcher[u2] = CPTable(u2, (u1,), _FOLLOW)
-    return universe, tuple(names), flat, watcher
+    watcher[U1] = CPTable(U1, (b_fragment.apex,), _FOLLOW)
+    watcher[U2] = CPTable(U2, (U1,), _FOLLOW)
+    return universe, names, flat, watcher
 
 
 @dataclass
@@ -517,15 +506,15 @@ class MEml:
     profile: MCPNet
     var_features: tuple[tuple[str, str], ...]
     exists_vars: tuple[int, ...]
-    u1: str
-    u2: str
+    u1 = U1
+    u2 = U2
 
     @property
     def net(self) -> CPNet:
         return self.profile.agents[0]
 
     def alpha_bar(self) -> int:
-        return self.net.mask(self.u1, self.u2)
+        return self.net.mask(U1, U2)
 
     def beta_sigma(self, sigma: PartialAssignment) -> int:
         allowed = set(self.exists_vars)
@@ -542,20 +531,19 @@ class MImm(MEml):
 
 def m_eml(formula: Qbf2Formula) -> MEml:
     universe, var_features, flat, watcher = _quantified(formula)
-    u1, u2 = universe[-2:]
-    swap = {u1: u2, u2: u1}
+    swap = {U1: U2, U2: U1}
     n2 = _renamed(flat, lambda s: swap.get(s, s))
 
     n5 = _low(universe)
-    n5[u1] = CPTable(u1, (), {(): 1})
-    n5[u2] = CPTable(u2, (u1,), _FOLLOW)
+    n5[U1] = CPTable(U1, (), {(): 1})
+    n5[U2] = CPTable(U2, (U1,), _FOLLOW)
 
     n6: dict[str, CPTable] = {
-        name: CPTable(name, (u2,), {(1,): 0, (0,): 1})
+        name: CPTable(name, (U2,), {(1,): 0, (0,): 1})
         for name in universe
-        if name != u2
+        if name != U2
     }
-    n6[u2] = CPTable(u2, (), {(): 1})
+    n6[U2] = CPTable(U2, (), {(): 1})
 
     agents = tuple(
         CPNet(universe, t) for t in (flat, n2, watcher, watcher, n5, n6)
@@ -564,26 +552,21 @@ def m_eml(formula: Qbf2Formula) -> MEml:
         profile=MCPNet(agents=agents),
         var_features=var_features,
         exists_vars=formula.exists_vars,
-        u1=u1,
-        u2=u2,
     )
 
 
 def m_imm(formula: Qbf2Formula) -> MImm:
     universe, var_features, flat, watcher = _quantified(formula)
-    u1, u2 = universe[-2:]
     flat_net = CPNet(universe, flat)
     agents = (
         flat_net,
-        direct_net(flat_net.mask(u1, u2), universe),
+        direct_net(flat_net.mask(U1, U2), universe),
         CPNet(universe, watcher),
     )
     return MImm(
         profile=MCPNet(agents=agents),
         var_features=var_features,
         exists_vars=formula.exists_vars,
-        u1=u1,
-        u2=u2,
     )
 
 

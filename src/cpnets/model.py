@@ -261,8 +261,10 @@ def outcome_str(outcome: int, n: int) -> str:
 def validate_net(net: CPNet) -> list[str]:
     """Check every structural invariant; returns a list of violations.
 
-    An empty list means the net is valid. Violations are data, not faults:
-    nothing is raised here.
+    An empty list means the net is valid, and then net_from_json reads
+    back what net_to_json writes of it: names and parents are strings,
+    conditions tuples of bits, preferences bits. Violations are data, not
+    faults: nothing is raised here.
     """
     problems: list[str] = []
     if not net.features:
@@ -283,6 +285,8 @@ def validate_net(net: CPNet) -> list[str]:
         problems.append(f"table for unknown feature {name!r}")
 
     for name in dict.fromkeys(net.features):
+        if not isinstance(name, str):
+            problems.append(f"feature name must be a string, got {name!r}")
         table = net.tables.get(name)
         if table is None:
             continue
@@ -292,10 +296,10 @@ def validate_net(net: CPNet) -> list[str]:
             )
         bad_parent = False
         for p in table.parents:
-            if p not in known:
+            if not isinstance(p, str) or p not in known:
                 problems.append(f"{name!r} lists unknown parent {p!r}")
                 bad_parent = True
-        if len(set(table.parents)) != len(table.parents):
+        if not bad_parent and len(set(table.parents)) != len(table.parents):
             problems.append(f"{name!r} lists a duplicate parent")
             bad_parent = True
         if len(table.parents) > MAX_PARENTS:
@@ -312,14 +316,16 @@ def validate_net(net: CPNet) -> list[str]:
                 f"{name!r} table has {len(table.rows)} rows, needs {want}"
             )
         for cond, pref in table.rows.items():
-            if len(cond) != len(table.parents) or any(
-                v not in (0, 1) for v in cond
+            if (
+                type(cond) is not tuple
+                or len(cond) != len(table.parents)
+                or not all(map(_is_bit, cond))
             ):
                 problems.append(f"{name!r} table has malformed condition {cond!r}")
                 break
-            if pref not in (0, 1):
+            if not _is_bit(pref):
                 problems.append(
-                    f"{name!r} table prefers {pref!r} (must be 0 or 1)"
+                    f"{name!r} table prefers {pref!r} (must be the int 0 or 1)"
                 )
                 break
 
@@ -378,8 +384,13 @@ def net_to_json(net: CPNet) -> dict:
     return {"features": out}
 
 
+def _is_bit(value) -> bool:
+    """Only the ints 0 and 1 are bits: True and 1.0 equal 1 but are not."""
+    return type(value) is int and value in (0, 1)
+
+
 def _bit(value, what: str) -> int:
-    if type(value) is not int or value not in (0, 1):
+    if not _is_bit(value):
         raise ValueError(f"{what} must be the int 0 or 1, got {value!r}")
     return value
 

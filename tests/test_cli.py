@@ -19,6 +19,7 @@ from cpnets import (
     formula_net,
     net_from_json,
     net_to_json,
+    outcome_str,
     parse_dimacs,
     profile_from_json,
     profile_to_json,
@@ -135,6 +136,18 @@ class TestNetQueries:
         code, payload = run_json(capsys, "optimum", dinner_path)
         assert code == 0
         assert payload == {"answer": "00"}
+
+    def test_optimum_prints_the_forward_sweep(self, capsys, tmp_path):
+        rng = random.Random(20)
+        path = tmp_path / "net.json"
+        for _ in range(20):
+            net = random_net(rng, rng.randint(1, 8))
+            path.write_text(json.dumps(net_to_json(net)))
+            code, payload = run_json(capsys, "optimum", str(path))
+            assert code == 0
+            assert payload == {
+                "answer": outcome_str(forward_sweep_optimum(net), net.n)
+            }
 
     def test_is_optimal(self, capsys, dinner_path):
         code, payload = run_json(capsys, "is-optimal", dinner_path, "00")
@@ -707,6 +720,8 @@ _UNREAD_OPTIONS = [
         ["is-optimal", "{net}", "Main", "--named"],
         ["oracle", "check", "{net}", "--max-states", "5"],
         ["oracle", "verify", "--lemma", "theorem_nowin", "--max-states", "5"],
+        ["optimum", "{net}", "--named"],
+        ["optimum", "{net}", "--max-states", "5"],
         *(argv for _, argv in _UNREAD_OPTIONS),
     ],
     ids=[
@@ -721,6 +736,8 @@ _UNREAD_OPTIONS = [
         "named-chunk-without-equals",
         "oracle-check-max-states",
         "oracle-verify-max-states",
+        "optimum-named",
+        "optimum-max-states",
         *(name for name, _ in _UNREAD_OPTIONS),
     ],
 )

@@ -113,16 +113,36 @@ class TestValidation:
         })
         assert any("rows, needs" in p for p in validate_net(net))
 
-    def test_malformed_condition(self):
-        net = make_net({
-            "A": ((), {(): 0}),
-            "B": (("A",), {(0, 1): 0, (1,): 1}),
-        })
-        assert any("malformed condition" in p for p in validate_net(net))
+    # No net below can come out of net_from_json: its JSON would not read
+    # back, so validate_net must name the fault instead of accepting it.
+    @pytest.mark.parametrize(
+        "parents, rows, found",
+        [
+            (("A",), {(0, 1): 0, (1,): 1}, "(0, 1)"),
+            (("A",), {(0,): 0, (True,): 1.0}, "(True,)"),
+            ((), {0: 1}, "0"),
+            ((), {"": 1}, "''"),
+        ],
+        ids=["wrong-width", "bool-value", "int-key", "empty-string-key"],
+    )
+    def test_malformed_condition(self, parents, rows, found):
+        net = make_net({"A": ((), {(): 0}), "B": (parents, rows)})
+        assert validate_net(net) == [f"'B' table has malformed condition {found}"]
 
-    def test_bad_preference_value(self):
-        net = make_net({"A": ((), {(): 2})})
-        assert any("must be 0 or 1" in p for p in validate_net(net))
+    @pytest.mark.parametrize("pref", [2, True, 1.0], ids=["two", "bool", "float"])
+    def test_bad_preference_value(self, pref):
+        net = make_net({"A": ((), {(): pref})})
+        assert validate_net(net) == [
+            f"'A' table prefers {pref!r} (must be the int 0 or 1)"
+        ]
+
+    def test_feature_name_must_be_a_string(self):
+        net = net_from_tables([CPTable(3, (), {(): 1})])
+        assert validate_net(net) == ["feature name must be a string, got 3"]
+
+    def test_unhashable_parent_is_unknown(self):
+        net = make_net({"A": (([1],), {(0,): 0, (1,): 1})})
+        assert validate_net(net) == ["'A' lists unknown parent [1]"]
 
     def test_cycle_is_reported(self):
         net = make_net({
