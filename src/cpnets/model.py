@@ -266,9 +266,14 @@ def validate_net(net: CPNet) -> list[str]:
     conditions tuples of bits, preferences bits. Violations are data, not
     faults: nothing is raised here.
     """
-    problems: list[str] = []
     if not net.features:
-        problems.append("net has no features")
+        return ["net has no features"]
+    problems = [
+        f"feature name must be a string, got {name!r}"
+        for name in net.features
+        if not isinstance(name, str)
+    ]
+    if problems:
         return problems
 
     counts = Counter(net.features)
@@ -285,8 +290,6 @@ def validate_net(net: CPNet) -> list[str]:
         problems.append(f"table for unknown feature {name!r}")
 
     for name in dict.fromkeys(net.features):
-        if not isinstance(name, str):
-            problems.append(f"feature name must be a string, got {name!r}")
         table = net.tables.get(name)
         if table is None:
             continue
@@ -331,15 +334,10 @@ def validate_net(net: CPNet) -> list[str]:
 
     if not problems:
         try:
-            topological_order(net)
+            net.topo_order
         except CycleError as exc:
             problems.append(str(exc))
     return problems
-
-
-def topological_order(net: CPNet) -> list[str]:
-    """Parents-first feature order, ties broken by canonical index."""
-    return [net.features[j] for j in net.topo_order]
 
 
 def indegree(net: CPNet) -> int:

@@ -6,7 +6,7 @@ flip graph, so a returned witness always has the fewest possible steps. The
 relation induced on outcomes is a strict partial order; equal outcomes never
 dominate each other.
 
-Every flip search (dominance, the reach sets and voting's Pareto search)
+Every flip search (dominance, the reach sets and voting's optimal search)
 steps one level at a time through expand, which alone enforces max_states.
 
 The dominance search is pruned twice, soundly: it flips only the features
@@ -128,9 +128,10 @@ def expand(
     Expands frontier in order, each state by rules in canonical order, and
     maps each new state to its predecessor in prev (a search starts from
     prev = {start: start}). Returns the new states in discovery order, or
-    None as soon as one is target or lies in every map of goal. Skips a
-    frontier state that an ordering test in refute matches against target.
-    Raises StateBudgetExceeded once prev holds more than max_states states.
+    None as soon as one is target or, for goal = (need, maps), lies in at
+    least need of the maps. Skips a frontier state that an ordering test in
+    refute matches against target. Raises StateBudgetExceeded once prev
+    holds more than max_states states.
     """
     fresh = []
     for o in frontier:
@@ -145,7 +146,7 @@ def expand(
                     if s in prev:
                         continue
                     prev[s] = o
-                    if s == target or goal and all(s in g for g in goal):
+                    if s == target or goal and sum(s in g for g in goal[1]) >= goal[0]:
                         return None
                     if len(prev) > max_states:
                         raise StateBudgetExceeded(len(prev), max_states)

@@ -4,20 +4,23 @@ Two aggregation rules: Pareto (every agent strictly prefers) and majority
 (strictly more than half do). For each rule an outcome is optimal when
 nothing beats it and an optimum when it beats everything else.
 
-Majority optimality of one outcome is read off one reachability search
-per agent, forward for optimal and backward for optimum, after a flip-vote
-pre-test that rejects most outcomes without any search. Both queries then
-count votes per reached outcome, holding one agent's set at a time, so the
-count is bounded only by max_states (Rossi, Venable & Walsh, AAAI 2004,
-for the semantics).
+Both optimal queries ask one question, whether some outcome wins at least
+need agents over alpha (need is m for Pareto, m // 2 + 1 for majority),
+and answer it with one algorithm, _unbeaten: a flip vote that rejects most
+outcomes without any search, then, unless that vote is complete, one
+pruned reachability search per agent, interleaved and stopped at the first
+winner. is_majority_optimum runs one backward search per agent and counts
+votes per reached outcome, holding one agent's set at a time. Every count
+is bounded only by max_states (Rossi, Venable & Walsh, AAAI 2004, for the
+semantics).
 
 When the agents share a topological order (the profile is O-legal,
 MCPNet.common_order), sequential voting has no paradox (Lang & Xia,
-Math. Soc. Sci. 57, 2009). There the pre-test alone decides
-is_majority_optimal, and exists_majority_optimum checks only the
-sequential majority winner. Only exists_majority_optimal, and
-exists_majority_optimum on a profile without a common order, enumerate all
-2**n outcomes, so only they are gated by feature count.
+Math. Soc. Sci. 57, 2009). There the flip vote alone decides both optimal
+queries, and exists_majority_optimum checks only the sequential majority
+winner. Only exists_majority_optimal, and exists_majority_optimum on a
+profile without a common order, enumerate all 2**n outcomes, so only they
+are gated by feature count.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .semantics import (
     expand,
     forward_sweep_optimum,
     movable,
-    reach_set,
     relevant_rules,
     reverse_reach_set,
 )
@@ -118,6 +120,78 @@ def _vote(
     return votes >= need
 
 
+def _unbeaten(profile: MCPNet, alpha: int, need: int, max_states: int) -> bool:
+    """No outcome wins at least need agents over alpha.
+
+    An agent prefers exactly the outcomes flip-reachable from alpha in its
+    net, and only an agent with an improving flip at alpha (a mover)
+    prefers any. A flip vote of need or more means the one-flip neighbour
+    wins; fewer than need movers means nothing can.
+
+    With a common order (MCPNet.common_order) the flip vote alone decides,
+    because it is complete there. Take any beta and the first feature f,
+    in the common order, where beta differs from alpha. Project an agent's
+    improving path from alpha to beta onto f and the features before it:
+    that set is closed under ancestors in every agent, so the projection is
+    an improving path of its own. The features before f end where they
+    began, and an acyclic net has no improving cycle, so none of them
+    flips; f's parents keep alpha's values and f flips once, improving at
+    alpha. So need votes for beta are need votes for the one-flip
+    neighbour of alpha at f.
+
+    Otherwise a winner differs from alpha only on features that need of
+    the movers can flip (semantics.movable), so each mover flips only those
+    features and their ancestors in its own net. The movers' searches are
+    interleaved one semantics.expand level each in turn, and stop at the
+    first outcome found in need of them, which keeps satisfiable gadget
+    profiles from expanding the full product space. Each search honors
+    max_states, so memory grows with the outcomes reached, never with 2**n.
+    """
+    check_outcome(profile, alpha)
+    top, movers = _flip_votes(profile, alpha)
+    if top >= need:
+        return False
+    if len(movers) < need or profile.common_order is not None:
+        return True
+    masks = [movable(net, alpha) for net in movers]
+    keep = sum(
+        1 << b for b in range(profile.n) if sum(k >> b & 1 for k in masks) >= need
+    )
+    if not keep:
+        return True
+    rules = [[rule for _, rule in relevant_rules(net, keep)] for net in movers]
+    prevs, frontiers = [{alpha: alpha} for _ in movers], [[alpha] for _ in movers]
+    while any(frontiers):
+        for i, cut in enumerate(rules):
+            frontiers[i] = expand(
+                cut, frontiers[i], prevs[i], max_states, goal=(need, prevs)
+            )
+            if frontiers[i] is None:
+                return False
+    return True
+
+
+def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
+    """The most agents agreeing on one improving flip at alpha, and the
+    agents with any improving flip there.
+
+    An acyclic net orders outcomes one flip apart by that feature's table
+    row (Boutilier et al., JAIR 2004), so each agent prefers either the
+    neighbour or alpha. A count of need or more means the neighbour wins
+    need agents over alpha; above (m - 1) // 2, alpha cannot beat it."""
+    votes = [0] * profile.n
+    movers = []
+    for net in profile.agents:
+        moves = False
+        for j, (relevant, _, triggers) in enumerate(net.rules):
+            if alpha & relevant in triggers:
+                votes[j] += 1
+                moves = True
+        if moves:
+            movers.append(net)
+    return max(votes), movers
+
+
 # ---------------------------------------------------------------------------
 # Pareto optimality
 # ---------------------------------------------------------------------------
@@ -128,38 +202,8 @@ def is_pareto_optimal(
     alpha: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """No outcome Pareto-dominates alpha.
-
-    A Pareto dominator is exactly an outcome flip-reachable from alpha in
-    every agent's net, so this runs one reachability search per agent and
-    asks whether the intersection holds anything besides alpha. A
-    dominator differs from alpha only on features every agent can move
-    (semantics.movable): when no feature is movable for all, alpha is
-    optimal without a search; otherwise each agent flips only those
-    features and their ancestors in its own net. The searches are
-    interleaved one semantics.expand level per agent in turn, with every
-    agent's predecessor map as the goal, and stop at the first outcome
-    reached by all agents, which keeps satisfiable gadget profiles from
-    expanding the full product space. Each per-agent search honors
-    max_states.
-    """
-    agents = profile.agents
-    check_outcome(profile, alpha)
-    common = -1
-    for net in agents:
-        common &= movable(net, alpha)
-        if not common:
-            return True
-    rules = [
-        [rule for _, rule in relevant_rules(net, common)] for net in agents
-    ]
-    prevs, frontiers = [{alpha: alpha} for _ in agents], [[alpha] for _ in agents]
-    while any(frontiers):
-        for i, cut in enumerate(rules):
-            frontiers[i] = expand(cut, frontiers[i], prevs[i], max_states, goal=prevs)
-            if frontiers[i] is None:
-                return False
-    return True
+    """No outcome Pareto-dominates alpha; see _unbeaten."""
+    return _unbeaten(profile, alpha, profile.m, max_states)
 
 
 def exists_pareto_optimal(profile: MCPNet) -> tuple[bool, int]:
@@ -188,62 +232,13 @@ def exists_pareto_optimum(profile: MCPNet) -> tuple[bool, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
-    """The most agents agreeing on one improving flip at alpha, and the
-    agents with any improving flip there.
-
-    An acyclic net orders outcomes one flip apart by that feature's table
-    row (Boutilier et al., JAIR 2004), so each agent prefers either the
-    neighbour or alpha. A count above m // 2 means the neighbour
-    majority-beats alpha; above (m - 1) // 2, alpha cannot beat it."""
-    votes = [0] * profile.n
-    movers = []
-    for net in profile.agents:
-        moves = False
-        for j, (relevant, _, triggers) in enumerate(net.rules):
-            if alpha & relevant in triggers:
-                votes[j] += 1
-                moves = True
-        if moves:
-            movers.append(net)
-    return max(votes), movers
-
-
 def is_majority_optimal(
     profile: MCPNet,
     alpha: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """No outcome majority-dominates alpha.
-
-    An agent prefers exactly the outcomes in its forward reach set from
-    alpha, which is {alpha} unless it has an improving flip there. One
-    search per such agent and a vote count decide; one set is alive at a
-    time, so memory grows with the outcomes reached, never with 2**n.
-
-    With a common order (MCPNet.common_order) the flip-vote pre-test alone
-    decides, because it is complete there. Take any beta and the first
-    feature f, in the common order, where beta differs from alpha. Project
-    an agent's improving path from alpha to beta onto f and the features
-    before it: that set is closed under ancestors in every agent, so the
-    projection is an improving path of its own. The features before f end
-    where they began, and an acyclic net has no improving cycle, so none of
-    them flips; f's parents keep alpha's values and f flips once,
-    improving at alpha. So a majority for beta is also a majority for the
-    one-flip neighbour of alpha at f.
-    """
-    check_outcome(profile, alpha)
-    t = profile.m // 2
-    top, movers = _flip_votes(profile, alpha)
-    if top > t:
-        return False
-    if len(movers) <= t or profile.common_order is not None:
-        return True
-    votes: Counter[int] = Counter()
-    for net in movers:
-        votes.update(reach_set(net, alpha, max_states))
-    del votes[alpha]
-    return all(v <= t for v in votes.values())
+    """No outcome majority-dominates alpha; see _unbeaten."""
+    return _unbeaten(profile, alpha, profile.m // 2 + 1, max_states)
 
 
 def is_majority_optimum(
@@ -257,8 +252,7 @@ def is_majority_optimum(
     over worsening flips. Each of the 2**n - 1 others needs m // 2 + 1
     such votes, so the running total of set sizes rules out most
     candidates part way through. Votes are counted per reached outcome as
-    each set arrives, as in is_majority_optimal, so only one agent's set
-    is held at a time.
+    each set arrives, so only one agent's set is held at a time.
     """
     check_outcome(profile, alpha)
     m, t = profile.m, profile.m // 2

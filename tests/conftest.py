@@ -76,3 +76,18 @@ def paradox_profile(paradox_path):
     differ from X2.
     """
     return profile_from_json(json.loads(Path(paradox_path).read_text()))
+
+
+@pytest.fixture(scope="session")
+def pareto_paradox_path():
+    return str(FIXTURES / "pareto_paradox.json")
+
+
+@pytest.fixture(scope="session")
+def pareto_paradox_profile(pareto_paradox_path):
+    """Two agents over X, Y that order the two features both ways.
+
+    Agent 0 wants X = 1 and Y to match X; agent 1 wants Y = 1 and X to
+    match Y. At 00 each may raise only its own root, yet both prefer 11.
+    """
+    return profile_from_json(json.loads(Path(pareto_paradox_path).read_text()))

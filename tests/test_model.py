@@ -24,7 +24,6 @@ from cpnets import (
     parse_outcome,
     profile_from_json,
     profile_to_json,
-    topological_order,
     validate_net,
     validate_profile,
     value_at,
@@ -139,6 +138,12 @@ class TestValidation:
     def test_feature_name_must_be_a_string(self):
         net = net_from_tables([CPTable(3, (), {(): 1})])
         assert validate_net(net) == ["feature name must be a string, got 3"]
+        # An unhashable name is reported before anything hashes the names.
+        net = CPNet(features=("A", ["B"], 4), tables={})
+        assert validate_net(net) == [
+            "feature name must be a string, got ['B']",
+            "feature name must be a string, got 4",
+        ]
 
     def test_unhashable_parent_is_unknown(self):
         net = make_net({"A": (([1],), {(0,): 0, (1,): 1})})
@@ -168,9 +173,13 @@ class TestValidation:
             assert validate_net(random_net(rng, rng.randint(1, 8))) == []
 
 
+def names_in_order(net):
+    return [net.features[j] for j in net.topo_order]
+
+
 class TestTopologicalOrder:
     def test_dinner(self, dinner_net):
-        assert topological_order(dinner_net) == ["Main", "Wine"]
+        assert names_in_order(dinner_net) == ["Main", "Wine"]
 
     def test_ties_follow_canonical_order(self):
         net = make_net({
@@ -178,14 +187,14 @@ class TestTopologicalOrder:
             "A": ((), {(): 0}),
             "B": ((), {(): 0}),
         })
-        assert topological_order(net) == ["C", "A", "B"]
+        assert names_in_order(net) == ["C", "A", "B"]
 
     def test_parents_first(self):
         net = make_net({
             "Child": (("Root",), {(0,): 0, (1,): 1}),
             "Root": ((), {(): 0}),
         })
-        assert topological_order(net) == ["Root", "Child"]
+        assert names_in_order(net) == ["Root", "Child"]
 
     def test_cycle_raises(self):
         net = make_net({
@@ -193,13 +202,13 @@ class TestTopologicalOrder:
             "B": (("A",), {(0,): 0, (1,): 1}),
         })
         with pytest.raises(CycleError):
-            topological_order(net)
+            net.topo_order
 
     def test_random_nets_respect_parents(self):
         rng = random.Random(11)
         for _ in range(30):
             net = random_net(rng, rng.randint(1, 10))
-            order = topological_order(net)
+            order = names_in_order(net)
             pos = {name: i for i, name in enumerate(order)}
             for name in net.features:
                 for p in net.parents(name):

@@ -125,18 +125,28 @@ class TestParetoGadgetProfiles:
 
     def test_budget_is_honored(self):
         gadget = m_ipo(CnfFormula(num_vars=1, clauses=((1,), (-1,))))
-        for budget in (1, 10):
-            with pytest.raises(StateBudgetExceeded) as info:
-                is_pareto_optimal(gadget.profile, 0, max_states=budget)
-            assert info.value.budget == budget
-            assert info.value.visited == budget + 1
+        # With two agents a majority is unanimity, so both queries search.
+        for query in (is_pareto_optimal, is_majority_optimal):
+            for budget in (1, 10):
+                with pytest.raises(StateBudgetExceeded) as info:
+                    query(gadget.profile, 0, max_states=budget)
+                assert info.value.budget == budget
+                assert info.value.visited == budget + 1
 
 
 class TestDefinitions:
-    def test_pareto_optimal_matches_definition(self):
+    def test_pareto_optimal_matches_definition(self, monkeypatch):
+        """Unshuffled orders, so every profile has a common order and the
+        flip vote must answer without a search."""
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched under a common order")
+
+        monkeypatch.setattr(voting, "expand", no_search)
         rng = random.Random(43)
         for _ in range(25):
             profile = random_profile(rng, rng.randint(2, 6), rng.randint(1, 3))
+            assert profile.common_order is not None
             size = 1 << profile.n
             for alpha in range(size):
                 expected = not any(
@@ -300,22 +310,12 @@ class TestMajorityModes:
                 )
         assert near_misses >= 10
 
-    def test_search_decides_past_flip_pretest(self):
+    def test_search_decides_past_flip_pretest(self, pareto_paradox_profile):
         # At 00 agent 0 may only raise X and agent 1 only Y, so no single
         # flip wins a majority, yet each then raises the other feature and
         # both prefer 11. The third agent's optimum is 00.
-        agents = (
-            net_from_tables([
-                CPTable("X", (), {(): 1}),
-                CPTable("Y", ("X",), {(0,): 0, (1,): 1}),
-            ]),
-            net_from_tables([
-                CPTable("X", ("Y",), {(0,): 0, (1,): 1}),
-                CPTable("Y", (), {(): 1}),
-            ]),
-            net_from_tables([CPTable("X", (), {(): 0}), CPTable("Y", (), {(): 0})]),
-        )
-        profile = MCPNet(agents=agents)
+        third = net_from_tables([CPTable("X", (), {(): 0}), CPTable("Y", (), {(): 0})])
+        profile = MCPNet(agents=pareto_paradox_profile.agents + (third,))
         assert majority_dominators(profile)[0b00] == 1 << 0b11
         assert not is_majority_optimal(profile, 0b00)
 
@@ -389,6 +389,16 @@ class TestMajorityModes:
         assert is_majority_optimum(profile, 0b01)
         assert exists_majority_optimum(profile) == (True, 0b01)
         assert exists_majority_optimal(profile) == (True, 0b01)
+
+    def test_unanimous_flip_vote_needs_a_common_order(self, pareto_paradox_profile):
+        # The smallest profile without a common order: no flip at 00 is
+        # unanimous, yet both agents prefer 11, so only the search refutes.
+        profile = pareto_paradox_profile
+        assert profile.common_order is None
+        assert voting._flip_votes(profile, 0b00)[0] == 1
+        assert pareto_dominates(profile, 0b11, 0b00)
+        assert not is_pareto_optimal(profile, 0b00)
+        assert not is_majority_optimal(profile, 0b00)
 
     def test_agents_over_differing_features_are_refused(self):
         # Agents over 3 and 5 features: no query may answer for them.
