@@ -6,15 +6,16 @@ engine in semantics.py rather than a restatement of it. A flip set is one
 2**n-bit int per feature: bit u is set when flipping that feature improves
 outcome u. Each table row contributes the outcomes that match its parent
 condition and hold the feature at its less preferred value. The explicit
-graph reads its arcs from the flip sets; the pair claims (lemma1 and both
-corollaries) instead sweep whole frontiers of outcomes through them, one
-level per step, and never build a graph or a closure. Sizes are capped
-hard: these routines materialize sets over all 2**n outcomes.
+graph reads its arcs from the flip sets. Its closure finishes rows in the
+net's lexicographic order, best first, and refuses as cyclic a graph with
+an arc that does not point earlier. The pair claims (lemma1 and both
+corollaries) instead sweep whole frontiers of outcomes through the flip
+sets, one level per step, and never build a graph or a closure. Sizes are
+capped hard: these routines materialize sets over all 2**n outcomes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count, product
@@ -176,33 +177,40 @@ class DominanceClosure:
         return not (self.dominates(alpha, beta) or self.dominates(beta, alpha))
 
 
+def _best_first(net: CPNet) -> list[int]:
+    """The net's outcomes best first: features parents first, each one's
+    value preferred under its parents (by its flip set) before its other
+    value. Every improving flip lands earlier: at the first feature where
+    the two outcomes differ, both share the parents, and the flip moves it
+    to its preferred value."""
+    sets, order = _flip_sets(net, net.n), [0]
+    for i in net.topo_order:
+        own, _, _, flips = sets[i]
+        bit = bin(flips | 1 << (1 << net.n))[:2:-1]  # bit[u] is bit u of flips
+        order = [
+            w for u in order for w in ((u | own, u) if bit[u] == "1" else (u, u | own))
+        ]
+    return order
+
+
 def closure(graph: ExtendedPreferenceGraph) -> DominanceClosure:
-    """Transitive reachability by topological order: process outcomes from
-    best to worst, OR each successor's reflexive row into a reflexive row,
-    and clear the self bits at the end. Kahn's order doubles as the cycle
-    check."""
+    """Transitive reachability along the net's _best_first order: OR each
+    successor's reflexive row into a reflexive row, and clear the self
+    bits at the end. A row is read only once it is finished, so an arc
+    that does not point earlier in the order (as on a cycle) raises
+    CycleError instead of giving a wrong row."""
     size = 1 << graph.n
-    indegree = [0] * size
-    for u in range(size):
-        for v in graph.arcs[u]:
-            indegree[v] += 1
-    queue = deque(u for u in range(size) if indegree[u] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in graph.arcs[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    if len(order) != size:
-        raise CycleError("improving flips cycle; closure needs an acyclic graph")
-    reach = [0] * size
-    for u in reversed(order):
-        acc = 1 << u
-        for v in graph.arcs[u]:
-            acc |= reach[v]
-        reach[u] = acc
+    reach, order = [None] * size, _best_first(graph.net)
+    try:
+        for u in order:
+            acc = 1 << u
+            for v in graph.arcs[u]:
+                acc |= reach[v]
+            reach[u] = acc
+    except TypeError:
+        raise CycleError(
+            "improving flips cycle; closure needs an acyclic graph"
+        ) from None
     for u in range(size):
         reach[u] ^= 1 << u
     return DominanceClosure(n=graph.n, reach=reach)
@@ -336,19 +344,20 @@ def _verify_lemma7(profile: MCPNet, bound: int):
 
 
 def _verify_theorem_nowin(profile: MCPNet, bound: int):
-    closures = [closure(build_graph(agent, bound)) for agent in profile.agents]
-    size = 1 << profile.n
-    threshold = profile.m // 2
-    n = profile.n
-    for alpha in range(size):
-        if not any(
-            sum(clo.dominates(beta, alpha) for clo in closures) > threshold
-            for beta in range(size)
-            if beta != alpha
-        ):
-            detail = f"{outcome_str(alpha, n)} is not majority-dominated by anything"
-            return alpha + 1, detail
-    return size, None
+    """Every outcome is majority-dominated: counting the agents' closure
+    rows of alpha in bit planes, plane j holds the outcomes that at least j
+    agents prefer to alpha, and plane m // 2 + 1 must not be empty."""
+    rows = [closure(build_graph(agent, bound)).reach for agent in profile.agents]
+    need = profile.m // 2 + 1
+    for alpha, column in enumerate(zip(*rows)):
+        planes = [-1] + [0] * need
+        for row in column:
+            for j in range(need, 0, -1):
+                planes[j] |= planes[j - 1] & row
+        if not planes[need]:
+            show = outcome_str(alpha, profile.n)
+            return alpha + 1, f"{show} is not majority-dominated by anything"
+    return 1 << profile.n, None
 
 
 # Claim tag -> (the instance kind it takes, "cnf" for a CnfFormula or

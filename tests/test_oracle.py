@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import random
 
@@ -21,6 +22,8 @@ from cpnets import (
     forward_sweep_optimum,
     improving_flips,
     m_nowin,
+    net_from_tables,
+    outcome_str,
     qbf2_enumerate,
     reach_set,
     sat_enumerate,
@@ -29,9 +32,10 @@ from cpnets import (
     to_dot,
     verify_lemma,
 )
-from cpnets.oracle import _flip_sets, _sweep
+from cpnets.oracle import _best_first, _flip_sets, _sweep
 from helpers import (
     formula_family,
+    majority_dominators,
     random_formula,
     random_net,
     random_profile,
@@ -117,6 +121,41 @@ class TestClosure:
         graph = ExtendedPreferenceGraph(dinner_net, [[1], [0], [], []])
         with pytest.raises(CycleError, match="improving flips cycle"):
             closure(graph)
+
+    def test_arc_against_the_order_is_refused(self, dinner_net):
+        # 00 is the dinner net's best outcome, so an arc from it to 01
+        # points later in the order although the graph is acyclic.
+        graph = ExtendedPreferenceGraph(dinner_net, [[1], [], [], []])
+        with pytest.raises(CycleError, match="improving flips cycle"):
+            closure(graph)
+
+    def test_other_value_first_is_refused(self):
+        """A net with one feature's rows negated orders that feature's
+        other value first; its order under the true net's arcs must raise
+        rather than return rows."""
+        rng = random.Random(43)
+        for k in range(20):
+            net = random_net(rng, rng.randint(1, 7), shuffle=bool(k % 2))
+            arcs = build_graph(net).arcs
+            for name in net.features:
+                negated = {cond: 1 - v for cond, v in net.tables[name].rows.items()}
+                mutant = net_from_tables([
+                    dataclasses.replace(net.tables[f], rows=negated) if f == name
+                    else net.tables[f]
+                    for f in net.features
+                ])
+                with pytest.raises(CycleError, match="improving flips cycle"):
+                    closure(ExtendedPreferenceGraph(mutant, arcs))
+
+    def test_every_arc_points_earlier(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            net = random_net(rng, rng.randint(1, 8), shuffle=True)
+            order = _best_first(net)
+            assert sorted(order) == list(range(1 << net.n))
+            position = {u: k for k, u in enumerate(order)}
+            for u, arcs in enumerate(build_graph(net).arcs):
+                assert all(position[v] < position[u] for v in arcs)
 
     @pytest.mark.parametrize("beta, alpha", [(9, 0), (0, 9), (9, 9), (-1, 0), (0, -1)])
     def test_out_of_range_outcomes_are_refused(self, beta, alpha):
@@ -347,6 +386,23 @@ class TestVerifyLemma:
         report = verify_lemma("theorem_nowin", dinner_profile)
         assert not report.ok
         assert "00" in report.detail
+
+    def test_theorem_nowin_first_failure_is_the_first_undominated(self):
+        rng = random.Random(53)
+        for k in range(60):
+            profile = random_profile(
+                rng, rng.randint(1, 6), rng.randint(1, 6), shuffle=bool(k % 2)
+            )
+            rows = majority_dominators(profile)
+            report = verify_lemma("theorem_nowin", profile)
+            if all(rows):
+                assert (report.ok, report.checked) == (True, 1 << profile.n)
+                continue
+            alpha = rows.index(0)
+            assert (report.ok, report.checked) == (False, alpha + 1)
+            assert report.detail == (
+                f"{outcome_str(alpha, profile.n)} is not majority-dominated by anything"
+            )
 
     def test_nowin_engine_agrees(self, nowin_profile):
         # Three of the four agents put 10 above 00; the engine and the
