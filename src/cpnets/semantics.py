@@ -167,12 +167,14 @@ def reach_set(
 
 
 def reverse_reach_set(
-    net: CPNet, alpha: int, max_states: int = DEFAULT_MAX_STATES
+    net: CPNet, alpha: int, max_states: int = DEFAULT_MAX_STATES, within: int = -1
 ) -> set[int]:
-    """Every outcome reachable from alpha by worsening flips, alpha
-    included: the outcomes alpha dominates. Same budget as reach_set."""
+    """Every outcome reachable from alpha by worsening flips of the
+    features in within, alpha included: with all features, the outcomes
+    alpha dominates. Same budget as reach_set."""
     check_outcome(net, alpha)
-    return _search(net.worsening_rules, alpha, max_states)
+    rules = [rule for rule in net.worsening_rules if rule[1] & within]
+    return _search(rules, alpha, max_states)
 
 
 def _search(rules, alpha: int, max_states: int) -> set[int]:

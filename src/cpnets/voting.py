@@ -7,20 +7,19 @@ nothing beats it and an optimum when it beats everything else.
 Both optimal queries ask one question, whether some outcome wins at least
 need agents over alpha (need is m for Pareto, m // 2 + 1 for majority),
 and answer it with one algorithm, _unbeaten: a flip vote that rejects most
-outcomes without any search, then, unless that vote is complete, one
-pruned reachability search per agent, interleaved and stopped at the first
-winner. is_majority_optimum runs one backward search per agent and counts
-votes per reached outcome, holding one agent's set at a time. Every count
-is bounded only by max_states (Rossi, Venable & Walsh, AAAI 2004, for the
-semantics).
+outcomes without any search, then one pruned reachability search per
+agent inside each dependency component of more than one feature,
+interleaved and stopped at the first winner. is_majority_optimum runs one
+backward search per agent and counts votes per reached outcome, holding
+one agent's set at a time. Every count is bounded only by max_states
+(Rossi, Venable & Walsh, AAAI 2004, for the semantics).
 
-When the agents share a topological order (the profile is O-legal,
-MCPNet.common_order), sequential voting has no paradox (Lang & Xia,
-Math. Soc. Sci. 57, 2009). There the flip vote alone decides both optimal
-queries, and exists_majority_optimum checks only the sequential majority
-winner. Only exists_majority_optimal, and exists_majority_optimum on a
-profile without a common order, enumerate all 2**n outcomes, so only they
-are gated by feature count.
+Voting works one component of the profile at a time (MCPNet.components;
+Xia, Conitzer & Lang, AAAI 2008). On an O-legal profile every component
+is one feature: the flip vote alone decides both optimal queries, and
+exists_majority_optimum is sequential voting (Lang & Xia, Math. Soc. Sci.
+57, 2009). Only the exists_majority_* queries enumerate, all 2**n
+outcomes or each component's assignments, so only they are gated by size.
 """
 
 from __future__ import annotations
@@ -128,52 +127,58 @@ def _unbeaten(profile: MCPNet, alpha: int, need: int, max_states: int) -> bool:
     prefers any. A flip vote of need or more means the one-flip neighbour
     wins; fewer than need movers means nothing can.
 
-    With a common order (MCPNet.common_order) the flip vote alone decides,
-    because it is complete there. Take any beta and the first feature f,
-    in the common order, where beta differs from alpha. Project an agent's
-    improving path from alpha to beta onto f and the features before it:
-    that set is closed under ancestors in every agent, so the projection is
-    an improving path of its own. The features before f end where they
-    began, and an acyclic net has no improving cycle, so none of them
-    flips; f's parents keep alpha's values and f flips once, improving at
-    alpha. So need votes for beta are need votes for the one-flip
-    neighbour of alpha at f.
+    Otherwise take any beta and the first component C (MCPNet.components)
+    where it differs from alpha, and let E be the components before C.
+    Project an agent's improving path from alpha to beta onto E and C:
+    that set is closed under ancestors in every agent, so the projection
+    is an improving path of its own. E's features end where they began,
+    and an acyclic net has no improving cycle, so none of them flips. So
+    every agent preferring beta prefers alpha with C set to beta's values,
+    by flips inside C. A one-feature C gives the flip vote's neighbour, so
+    only larger components are searched; an O-legal profile has none.
 
-    Otherwise a winner differs from alpha only on features that need of
-    the movers can flip (semantics.movable), so each mover flips only those
-    features and their ancestors in its own net. The movers' searches are
+    Within C a winner differs from alpha only on features that need of
+    the movers can flip (semantics.movable), so each mover flips only
+    those and their ancestors in C. The movers' searches are
     interleaved one semantics.expand level each in turn, and stop at the
     first outcome found in need of them, which keeps satisfiable gadget
     profiles from expanding the full product space. Each search honors
     max_states, so memory grows with the outcomes reached, never with 2**n.
     """
     check_outcome(profile, alpha)
-    top, movers = _flip_votes(profile, alpha)
-    if top >= need:
+    votes, movers = _flip_votes(profile, alpha)
+    if max(votes) >= need:
         return False
-    if len(movers) < need or profile.common_order is not None:
+    if len(movers) < need:
+        return True
+    comps = profile.components
+    if len(comps) == len(votes):  # all one-feature components
         return True
     masks = [movable(net, alpha) for net in movers]
     keep = sum(
         1 << b for b in range(profile.n) if sum(k >> b & 1 for k in masks) >= need
     )
-    if not keep:
-        return True
-    rules = [[rule for _, rule in relevant_rules(net, keep)] for net in movers]
-    prevs, frontiers = [{alpha: alpha} for _ in movers], [[alpha] for _ in movers]
-    while any(frontiers):
-        for i, cut in enumerate(rules):
-            frontiers[i] = expand(
-                cut, frontiers[i], prevs[i], max_states, goal=(need, prevs)
-            )
-            if frontiers[i] is None:
-                return False
+    for comp in comps:
+        if not comp & (comp - 1) or not keep & comp:
+            continue
+        rules = [
+            [rule for _, rule in relevant_rules(net, keep & comp) if rule[1] & comp]
+            for net in movers
+        ]
+        prevs, frontiers = [{alpha: alpha} for _ in movers], [[alpha] for _ in movers]
+        while any(frontiers):
+            for i, cut in enumerate(rules):
+                frontiers[i] = expand(
+                    cut, frontiers[i], prevs[i], max_states, goal=(need, prevs)
+                )
+                if frontiers[i] is None:
+                    return False
     return True
 
 
-def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
-    """The most agents agreeing on one improving flip at alpha, and the
-    agents with any improving flip there.
+def _flip_votes(profile: MCPNet, alpha: int) -> tuple[list[int], list[CPNet]]:
+    """Per feature, in canonical order, the agents for which flipping it
+    improves alpha, and the agents with any improving flip there.
 
     An acyclic net orders outcomes one flip apart by that feature's table
     row (Boutilier et al., JAIR 2004), so each agent prefers either the
@@ -189,7 +194,7 @@ def _flip_votes(profile: MCPNet, alpha: int) -> tuple[int, list[CPNet]]:
                 moves = True
         if moves:
             movers.append(net)
-    return max(votes), movers
+    return votes, movers
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +212,8 @@ def is_pareto_optimal(
 
 
 def exists_pareto_optimal(profile: MCPNet) -> tuple[bool, int]:
-    """Always (True, witness): agent 1's optimum is never Pareto-dominated,
-    because nothing dominates it for agent 1."""
+    """Always (True, witness): agent 0's optimum is never Pareto-dominated,
+    because nothing dominates it for agent 0."""
     return True, forward_sweep_optimum(profile.agents[0])
 
 
@@ -246,41 +251,46 @@ def is_majority_optimum(
     alpha: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> bool:
-    """alpha majority-dominates every other outcome.
-
-    An agent prefers alpha to exactly the outcomes in its backward search
-    over worsening flips. Each of the 2**n - 1 others needs m // 2 + 1
-    such votes, so the running total of set sizes rules out most
-    candidates part way through. Votes are counted per reached outcome as
-    each set arrives, so only one agent's set is held at a time.
-    """
+    """alpha majority-dominates every other outcome; see _beats_all."""
     check_outcome(profile, alpha)
-    m, t = profile.m, profile.m // 2
-    if _flip_votes(profile, alpha)[0] > (m - 1) // 2:
+    return _beats_all(profile, alpha, (1 << profile.n) - 1, max_states)
+
+
+def _beats_all(profile: MCPNet, alpha: int, within: int, max_states: int) -> bool:
+    """alpha majority-dominates every other outcome that differs from it
+    only on within: all features, or one component, whose own flips reach
+    every such outcome an agent ranks below alpha (see _unbeaten).
+
+    An agent's backward search over within's worsening flips finds the
+    outcomes it ranks below alpha. Each of the 2**|within| - 1 others needs
+    m // 2 + 1 such votes, so the running total of set sizes rules out
+    most candidates part way through. Votes are counted per reached
+    outcome as each set arrives, so only one agent's set is held at a time.
+    """
+    m, t, n = profile.m, profile.m // 2, profile.n
+    votes = _flip_votes(profile, alpha)[0]
+    if within != (1 << n) - 1:
+        votes = [v for j, v in enumerate(votes) if within >> (n - 1 - j) & 1]
+    if max(votes) > (m - 1) // 2:
         return False
-    size = 1 << profile.n
-    others = size - 1
+    others = (1 << within.bit_count()) - 1
     missing = 0
     votes: Counter[int] = Counter()
     for net in profile.agents:
-        below = reverse_reach_set(net, alpha, max_states)
+        below = reverse_reach_set(net, alpha, max_states, within)
         missing += others - (len(below) - 1)
         if missing > (m - t - 1) * others:
             return False
         votes.update(below)
-    return all(votes[o] > t for o in range(size))
+    return sum(v > t for v in votes.values()) > others
 
 
-def _first_outcome(profile: MCPNet, test, max_states: int) -> tuple[bool, int | None]:
-    if profile.n > ENUMERATION_BOUND:
+def _gate(features: int) -> None:
+    if features > ENUMERATION_BOUND:
         raise InstanceTooLarge(
-            f"majority optimality enumerates 2**{profile.n} outcomes; "
+            f"majority optimality enumerates 2**{features} outcomes; "
             f"refusing beyond 2**{ENUMERATION_BOUND}"
         )
-    for alpha in range(1 << profile.n):
-        if test(profile, alpha, max_states):
-            return True, alpha
-    return False, None
 
 
 def exists_majority_optimal(
@@ -288,7 +298,11 @@ def exists_majority_optimal(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> tuple[bool, int | None]:
     """First majority-optimal outcome in canonical order, if any."""
-    return _first_outcome(profile, is_majority_optimal, max_states)
+    _gate(profile.n)
+    for alpha in range(1 << profile.n):
+        if is_majority_optimal(profile, alpha, max_states):
+            return True, alpha
+    return False, None
 
 
 def exists_majority_optimum(
@@ -299,36 +313,36 @@ def exists_majority_optimum(
     qualify: two would have to majority-dominate each other, and the
     preferring coalitions are disjoint.
 
-    With a common order the only candidate is the sequential majority
-    winner, checked by one is_majority_optimum call. A majority optimum
-    beats each of its one-flip neighbours, so at every feature a strict
-    majority prefers its value given its parents' values. The parents come
-    earlier in the common order, so by induction along it the optimum
-    equals the vote's winner. Any tie-break works, because a tie rules out
-    a strict majority. Without a common order this enumerates all 2**n
-    outcomes.
+    Restricted to a component, given the components before it, a majority
+    optimum beats every other assignment of it. So the only candidate is
+    built one component at a time, parents first: a one-feature component
+    takes the strict majority's value, sequential voting's step, and a
+    larger one the one of its 2**|C| assignments that passes _beats_all.
+    One is_majority_optimum call checks the candidate unless the profile
+    is one component. Raises InstanceTooLarge past ENUMERATION_BOUND
+    features in a component.
     """
-    order = profile.common_order
-    if order is None:
-        return _first_outcome(profile, is_majority_optimum, max_states)
-    winner = _sequential_winner(profile, order)
-    if is_majority_optimum(profile, winner, max_states):
-        return True, winner
-    return False, None
-
-
-def _sequential_winner(profile: MCPNet, order: tuple[int, ...]) -> int:
-    """Feature-by-feature majority vote along order: each feature is raised
-    when more than m // 2 agents prefer 1 given the values already chosen.
-    Unvoted features read 0, so order must list each feature's parents
-    before it for the vote to be sequential voting."""
-    t = profile.m // 2
+    comps = profile.components
+    _gate(max(map(int.bit_count, comps)))
+    n, t = profile.n, profile.m // 2
     winner = 0
-    for j in order:
-        raise_votes = 0
-        for net in profile.agents:
-            relevant, own, triggers = net.rules[j]
-            raise_votes += winner & relevant in triggers
-        if raise_votes > t:
-            winner |= own
-    return winner
+    for comp in comps:
+        if comp & (comp - 1):
+            y = 0
+            while not _beats_all(profile, winner | y, comp, max_states):
+                y = (y - comp) & comp
+                if not y:
+                    return False, None
+            winner |= y
+        else:
+            j, up = n - comp.bit_length(), 0
+            for net in profile.agents:
+                relevant, _, triggers = net.rules[j]
+                up += winner & relevant in triggers
+            if up > t:
+                winner |= comp
+            elif profile.m - up <= t:
+                return False, None
+    if len(comps) > 1 and not is_majority_optimum(profile, winner, max_states):
+        return False, None
+    return True, winner

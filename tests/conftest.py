@@ -79,6 +79,13 @@ def paradox_profile(paradox_path):
 
 
 @pytest.fixture(scope="session")
+def components_path():
+    """paradox.json with a third feature X3 that no agent conditions on:
+    one component {X1, X2} and one {X3}. Agents 0 and 2 want X3 = 1."""
+    return str(FIXTURES / "components.json")
+
+
+@pytest.fixture(scope="session")
 def pareto_paradox_path():
     return str(FIXTURES / "pareto_paradox.json")
 

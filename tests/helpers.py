@@ -20,19 +20,24 @@ from cpnets import (
 )
 
 
-def random_net(rng, n, names=None, shuffle=False):
+def random_net(rng, n, names=None, shuffle=False, swap=False):
     """Build a random acyclic net over ``n`` binary features.
 
     Parents of each feature are drawn from the features before it, so the
     insertion order is already a topological order. With ``shuffle`` they
     are drawn along a random order instead, so nets of one profile need not
-    share a topological order. Indegree stays at most 3.
+    share a topological order. With ``swap`` the order is the insertion
+    order with one random adjacent pair swapped, so a profile is nearly
+    O-legal: its dependency components stay small. Indegree stays at most 3.
     """
     if names is None:
         names = [f"X{i}" for i in range(1, n + 1)]
     order = list(names)
     if shuffle:
         rng.shuffle(order)
+    if swap and n > 1:
+        i = rng.randrange(n - 1)
+        order[i], order[i + 1] = order[i + 1], order[i]
     tables = {}
     for i, name in enumerate(order):
         k = rng.randint(0, min(3, i))
@@ -48,11 +53,11 @@ def _conds(k):
     return [tuple((c >> (k - 1 - j)) & 1 for j in range(k)) for c in range(1 << k)]
 
 
-def random_profile(rng, n, m, names=None, shuffle=False):
+def random_profile(rng, n, m, names=None, shuffle=False, swap=False):
     if names is None:
         names = [f"X{i}" for i in range(1, n + 1)]
     return MCPNet(
-        agents=tuple(random_net(rng, n, names, shuffle) for _ in range(m))
+        agents=tuple(random_net(rng, n, names, shuffle, swap) for _ in range(m))
     )
 
 

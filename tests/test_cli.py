@@ -26,7 +26,7 @@ from cpnets import (
 )
 from cpnets import cli
 from cpnets.cli import main
-from helpers import random_net, random_profile, run_capped
+from helpers import majority_dominators, random_net, random_profile, run_capped
 
 
 def run(capsys, *argv):
@@ -330,6 +330,22 @@ class TestVotingCommands:
         )
         assert code == 0
         assert payload == {"answer": True, "witness": "00"}
+
+    def test_majority_queries_over_two_components(self, capsys, components_path):
+        # The singleton X3 is voted on, the {X1, X2} component scanned, and
+        # the candidate checked once as a whole; the oracle agrees.
+        profile = profile_from_json(json.loads(Path(components_path).read_text()))
+        assert [c.bit_count() for c in profile.components] == [1, 2]
+        beaten_by = majority_dominators(profile)
+        assert beaten_by[0b011] == 0
+        assert all(beaten_by[b] >> 0b011 & 1 for b in range(8) if b != 0b011)
+        code, payload = run_json(capsys, "majority", "exists-optimum", components_path)
+        assert (code, payload) == (0, {"answer": True, "witness": "011"})
+        for alpha in range(8):
+            code, payload = run_json(
+                capsys, "majority", "is-optimal", components_path, format(alpha, "03b")
+            )
+            assert (code, payload) == (0, {"answer": beaten_by[alpha] == 0})
 
     def test_majority_exists_optimum_past_a_sequential_paradox(self, capsys, paradox_path):
         code, payload = run_json(capsys, "majority", "exists-optimum", paradox_path)

@@ -254,28 +254,78 @@ def topological_in_every_agent(profile, order):
     )
 
 
-class TestCommonOrder:
-    def test_unshuffled_random_profiles_have_one(self):
+def members(profile, comp):
+    return [j for j in range(profile.n) if comp & feature_mask(profile.n, j)]
+
+
+def union_reach(profile):
+    """reach[i]: the features with a path from i in the union of the
+    agents' dependency graphs, i itself included, by plain search."""
+    children = {j: set() for j in range(profile.n)}
+    for net in profile.agents:
+        for j, name in enumerate(net.features):
+            for p in net.parents(name):
+                children[net.index(p)].add(j)
+    reach = []
+    for i in range(profile.n):
+        seen, todo = {i}, [i]
+        while todo:
+            for c in children[todo.pop()] - seen:
+                seen.add(c)
+                todo.append(c)
+        reach.append(seen)
+    return reach
+
+
+class TestComponents:
+    def test_unshuffled_random_profiles_are_all_singletons(self):
         rng = random.Random(17)
         for _ in range(30):
             profile = random_profile(rng, rng.randint(1, 10), rng.randint(1, 5))
-            assert profile.common_order is not None
-            assert topological_in_every_agent(profile, profile.common_order)
+            order = [members(profile, c) for c in profile.components]
+            assert all(len(c) == 1 for c in order)
+            assert topological_in_every_agent(profile, [c[0] for c in order])
 
-    def test_profiles_ordering_features_both_ways_have_none(self, dinner_profile):
+    def test_profiles_ordering_features_both_ways_have_a_larger_one(
+        self, dinner_profile
+    ):
         phi = CnfFormula(num_vars=1, clauses=((1,),))
         for profile in (dinner_profile, m_nowin(), m_ipo(phi).profile):
-            assert profile.common_order is None
+            assert max(c.bit_count() for c in profile.components) > 1
 
     def test_edge_in_one_agent_only(self):
         free = {"A": ((), {(): 0}), "B": ((), {(): 1})}
         for child, parent, order in (("B", "A", (0, 1)), ("A", "B", (1, 0))):
             edge = {**free, child: ((parent,), {(0,): 0, (1,): 1})}
             profile = MCPNet(agents=(make_net(edge), make_net(free)))
-            assert profile.common_order == order
-            assert profile.common_order is profile.common_order
+            assert profile.components == tuple(
+                feature_mask(2, j) for j in order
+            )
+            assert profile.components is profile.components
 
-    def test_none_exactly_when_no_order_fits_every_agent(self):
+    def test_mutual_reachability_classes_listed_parents_first(self):
+        rng = random.Random(23)
+        sizes = set()
+        for k in range(150):
+            profile = random_profile(
+                rng, rng.randint(1, 9), rng.randint(1, 4),
+                shuffle=k % 3 == 1, swap=k % 3 == 2,
+            )
+            comps = [members(profile, c) for c in profile.components]
+            assert sorted(j for c in comps for j in c) == list(range(profile.n))
+            reach = union_reach(profile)
+            for c in comps:
+                for i in c:
+                    assert set(c) == {j for j in reach[i] if i in reach[j]}
+            where = {j: k for k, c in enumerate(comps) for j in c}
+            for net in profile.agents:
+                for j, name in enumerate(net.features):
+                    for p in net.parents(name):
+                        assert where[net.index(p)] <= where[j]
+            sizes.update(len(c) for c in comps)
+        assert {1, 2, 3} <= sizes
+
+    def test_singletons_exactly_when_some_order_fits_every_agent(self):
         # Shuffled agents need not share an order; check against every
         # permutation of the features.
         rng = random.Random(19)
@@ -283,14 +333,14 @@ class TestCommonOrder:
         for _ in range(200):
             n = rng.randint(1, 4)
             profile = random_profile(rng, n, rng.randint(1, 4), shuffle=True)
-            order = profile.common_order
+            comps = profile.components
             fits = any(
                 topological_in_every_agent(profile, p)
                 for p in permutations(range(n))
             )
-            assert (order is not None) == fits
-            if order is not None:
-                assert sorted(order) == list(range(n))
+            assert (len(comps) == n) == fits
+            if fits:
+                order = [members(profile, c)[0] for c in comps]
                 assert topological_in_every_agent(profile, order)
             seen.add(fits)
         assert seen == {True, False}

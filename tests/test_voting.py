@@ -136,17 +136,17 @@ class TestParetoGadgetProfiles:
 
 class TestDefinitions:
     def test_pareto_optimal_matches_definition(self, monkeypatch):
-        """Unshuffled orders, so every profile has a common order and the
-        flip vote must answer without a search."""
+        """Unshuffled orders, so every dependency component is one feature
+        and the flip vote must answer without a search."""
 
         def no_search(*args, **kwargs):
-            raise AssertionError("searched under a common order")
+            raise AssertionError("searched an O-legal profile")
 
         monkeypatch.setattr(voting, "expand", no_search)
         rng = random.Random(43)
         for _ in range(25):
             profile = random_profile(rng, rng.randint(2, 6), rng.randint(1, 3))
-            assert profile.common_order is not None
+            assert len(profile.components) == profile.n
             size = 1 << profile.n
             for alpha in range(size):
                 expected = not any(
@@ -158,17 +158,13 @@ class TestDefinitions:
     def test_pareto_optimal_matches_closure_intersection(self):
         """Shuffled orders, so agents need not share a topological order
         and the movable-feature cut differs from agent to agent."""
-        rng = random.Random(73)
-        for _ in range(40):
-            profile = random_profile(
-                rng, rng.randint(1, 7), rng.randint(2, 5), shuffle=True
-            )
-            closures = [closure(build_graph(net)) for net in profile.agents]
-            for alpha in range(1 << profile.n):
-                common = -1
-                for clo in closures:
-                    common &= clo.reach[alpha]
-                assert is_pareto_optimal(profile, alpha) == (common == 0)
+        check_pareto_against_closures(random.Random(73), 40, shuffle=True)
+
+    def test_nearly_o_legal_pareto_matches_closure_intersection(self):
+        """One adjacent pair swapped per agent: small components beside
+        singletons, so the search runs inside a component."""
+        profiles = check_pareto_against_closures(random.Random(75), 60, swap=True)
+        assert any(has_small_tangle(p) for p in profiles)
 
     def test_majority_dominates_matches_vote_count(self):
         rng = random.Random(47)
@@ -240,10 +236,31 @@ class TestDefinitions:
             assert not part.opposes & part.incomparables
 
 
-def check_majority_queries_against_oracle(rng, shuffle):
+def has_small_tangle(profile):
+    """A component of 2 to 4 features beside at least one other."""
+    sizes = [c.bit_count() for c in profile.components]
+    return len(sizes) > 1 and 2 <= max(sizes) <= 4
+
+
+def check_pareto_against_closures(rng, count, **family):
+    profiles = []
+    for _ in range(count):
+        profile = random_profile(rng, rng.randint(1, 7), rng.randint(2, 5), **family)
+        closures = [closure(build_graph(net)) for net in profile.agents]
+        for alpha in range(1 << profile.n):
+            common = -1
+            for clo in closures:
+                common &= clo.reach[alpha]
+            assert is_pareto_optimal(profile, alpha) == (common == 0)
+        profiles.append(profile)
+    return profiles
+
+
+def check_majority_queries_against_oracle(rng, **family):
+    profiles = []
     for k in range(36):
         n, m = rng.randint(1, 7), 1 + k % 6
-        profile = random_profile(rng, n, m, shuffle=shuffle)
+        profile = random_profile(rng, n, m, **family)
         if k % 2:
             # A majority of identical agents plants a majority optimum.
             base = profile.agents[0]
@@ -266,6 +283,8 @@ def check_majority_queries_against_oracle(rng, shuffle):
         ):
             expected = (True, found[0]) if found else (False, None)
             assert exists(profile) == expected
+        profiles.append(profile)
+    return profiles
 
 
 class TestMajorityModes:
@@ -275,9 +294,15 @@ class TestMajorityModes:
         check_majority_queries_against_oracle(random.Random(73), shuffle=True)
 
     def test_o_legal_queries_match_oracle_vote_count(self):
-        # Agents sharing the canonical order: the pre-test and the
-        # sequential winner decide.
-        check_majority_queries_against_oracle(random.Random(71), shuffle=False)
+        # Agents sharing the canonical order: every component is one
+        # feature, so the pre-test and the sequential vote decide.
+        check_majority_queries_against_oracle(random.Random(71))
+
+    def test_nearly_o_legal_queries_match_oracle_vote_count(self):
+        # One adjacent pair swapped per agent: small components beside
+        # singletons, so the component searches and scans decide.
+        profiles = check_majority_queries_against_oracle(random.Random(77), swap=True)
+        assert any(has_small_tangle(p) for p in profiles)
 
     def test_majority_optimum_vote_count_past_size_cutoff(self):
         # Near misses: every one-flip neighbour loses to alpha by majority,
@@ -342,22 +367,44 @@ class TestMajorityModes:
         assert exists_majority_optimal(profile) == (True, 1)
         assert exists_majority_optimum(profile) == (True, 1)
 
+    def test_tie_on_a_lone_feature_leaves_no_optimum(self):
+        # The profile is one one-feature component, so no final check runs:
+        # the vote itself must see that neither value wins a majority.
+        agents = tuple(net_from_tables([CPTable("X", (), {(): v})]) for v in (0, 1))
+        profile = MCPNet(agents=agents)
+        assert majority_dominators(profile) == [0, 0]
+        assert exists_majority_optimum(profile) == (False, None)
+        assert exists_majority_optimal(profile) == (True, 0)
+
     def test_size_gate(self):
         rng = random.Random(89)
         wide = random_profile(rng, 25, 2)
         with pytest.raises(InstanceTooLarge):
             exists_majority_optimal(wide)
-        # exists_majority_optimum scans all outcomes only without a common
-        # order; with one it checks the sequential winner alone.
+        # exists_majority_optimum scans each component's assignments, so
+        # only a component past the bound is refused.
         tangled = random_profile(random.Random(91), 25, 2, shuffle=True)
-        assert tangled.common_order is None
+        for profile in (wide, tangled):
+            assert max(c.bit_count() for c in profile.components) <= 24
+            found, winner = exists_majority_optimum(profile)
+            assert found == (winner is not None)
+            if found:
+                assert is_majority_optimum(profile, winner)
+        assert len(wide.components) == 25 > len(tangled.components) > 1
+        # Two agents chaining 25 features in opposite directions: one
+        # component of all 25.
+        names = [f"X{i}" for i in range(25)]
+
+        def chain(order):
+            tables = {order[0]: CPTable(order[0], (), {(): 1})}
+            for parent, x in zip(order, order[1:]):
+                tables[x] = CPTable(x, (parent,), {(0,): 1, (1,): 0})
+            return net_from_tables([tables[x] for x in names])
+
+        cycle = MCPNet(agents=(chain(names), chain(names[::-1])))
+        assert cycle.components == ((1 << 25) - 1,)
         with pytest.raises(InstanceTooLarge):
-            exists_majority_optimum(tangled)
-        assert wide.common_order is not None
-        found, winner = exists_majority_optimum(wide)
-        assert found == (winner is not None)
-        if found:
-            assert is_majority_optimum(wide, winner)
+            exists_majority_optimum(cycle)
         # is_* enumerate nothing, so 30 features are answered directly.
         n, shared = 30, rng.randrange(1 << 30)
         agents = []
@@ -377,25 +424,33 @@ class TestMajorityModes:
 
     def test_paradox_needs_the_o_legality_check(self, paradox_profile):
         profile = paradox_profile
-        # Agent 1 puts X1 first, agent 2 puts X2 first.
+        # Agent 1 puts X1 first, agent 2 puts X2 first, so the two features
+        # form one component, which is scanned as a whole.
         assert [net.topo_order for net in profile.agents[1:]] == [(0, 1), (1, 0)]
-        assert profile.common_order is None
+        assert profile.components == (0b11,)
         # A vote along agent 0's order raises X1 (agents 1 and 2) and then
         # X2 (agents 0 and 2), yet 01 beats every other outcome.
-        order = profile.agents[0].topo_order
-        assert voting._sequential_winner(profile, order) == 0b11
+        winner = 0
+        for j in profile.agents[0].topo_order:
+            raise_votes = sum(
+                winner & net.rules[j][0] in net.rules[j][2] for net in profile.agents
+            )
+            if raise_votes > profile.m // 2:
+                winner |= profile.agents[0].rules[j][1]
+        assert winner == 0b11
         beaten_by = majority_dominators(profile)
         assert [(row >> 0b01) & 1 for row in beaten_by] == [1, 0, 1, 1]
         assert is_majority_optimum(profile, 0b01)
         assert exists_majority_optimum(profile) == (True, 0b01)
         assert exists_majority_optimal(profile) == (True, 0b01)
 
-    def test_unanimous_flip_vote_needs_a_common_order(self, pareto_paradox_profile):
-        # The smallest profile without a common order: no flip at 00 is
-        # unanimous, yet both agents prefer 11, so only the search refutes.
+    def test_unanimous_flip_vote_needs_the_component_search(self, pareto_paradox_profile):
+        # The smallest profile whose two features form one component: no
+        # flip at 00 is unanimous, yet both agents prefer 11, so only the
+        # search inside the component refutes.
         profile = pareto_paradox_profile
-        assert profile.common_order is None
-        assert voting._flip_votes(profile, 0b00)[0] == 1
+        assert profile.components == (0b11,)
+        assert max(voting._flip_votes(profile, 0b00)[0]) == 1
         assert pareto_dominates(profile, 0b11, 0b00)
         assert not is_pareto_optimal(profile, 0b00)
         assert not is_majority_optimal(profile, 0b00)
